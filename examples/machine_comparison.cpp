@@ -1,11 +1,12 @@
-// Three execution models, one schedule: runs the same SVD through
+// Two execution models and a pricing model, one schedule: runs the same SVD
+// through
 //   1. the shared-memory engine (one_sided_jacobi),
-//   2. the step-synchronous distributed machine (columns owned by leaves,
-//      transfers as routed messages with modeled contention),
-//   3. the SPMD program over the message-passing runtime (one thread per
-//      leaf, dataflow synchronisation only),
-// and verifies they agree bit for bit — the ordering's schedule, not the
-// runtime, determines the numerics.
+//   2. the SPMD program over the message-passing runtime (one rank per leaf,
+//      columns exchanged as tagged messages, dataflow synchronisation only),
+// checks they agree bit for bit — the ordering's schedule, not the runtime,
+// determines the numerics — and prices the executed sweeps on a CM-5-like
+// fat tree with model_run. Exits nonzero unless SPMD is bitwise equal to
+// shared memory and delivered exactly the messages the model charges for.
 //
 //   ./machine_comparison [--n=32] [--rows=64] [--ordering=hybrid-g4]
 #include <cstdio>
@@ -34,22 +35,21 @@ int main(int argc, char** argv) {
   const SvdResult shared = one_sided_jacobi(a, *ord);
   const double ms1 = t1.millis();
 
-  const FatTreeTopology topo(n / 2, CapacityProfile::kCm5);
   Timer t2;
-  const DistributedResult dist = distributed_jacobi(a, *ord, topo);
-  const double ms2 = t2.millis();
-
-  Timer t3;
   SpmdStats stats;
   const SvdResult spmd = spmd_jacobi(a, *ord, {}, &stats);
-  const double ms3 = t3.millis();
+  const double ms2 = t2.millis();
 
-  auto bitwise = [&](const SvdResult& x) {
-    if (x.sigma.size() != shared.sigma.size()) return false;
-    for (std::size_t k = 0; k < x.sigma.size(); ++k)
-      if (x.sigma[k] != shared.sigma[k]) return false;
-    return x.u == shared.u && x.v == shared.v;
-  };
+  bool bitwise = spmd.sigma.size() == shared.sigma.size() && spmd.u == shared.u &&
+                 spmd.v == shared.v;
+  for (std::size_t k = 0; bitwise && k < shared.sigma.size(); ++k)
+    bitwise = spmd.sigma[k] == shared.sigma[k];
+
+  const FatTreeTopology topo(n / 2, CapacityProfile::kCm5);
+  CostParams params;
+  params.words_per_column = static_cast<double>(rows);
+  const SweepCost cost = model_run(*ord, topo, n, params, spmd.sweeps).per_sweep_total;
+  const bool counts_match = stats.messages == cost.messages;
 
   Table t({"model", "sweeps", "wall ms", "bitwise == shared", "notes"});
   t.row()
@@ -59,24 +59,18 @@ int main(int argc, char** argv) {
       .cell("-")
       .cell("columns rotated in place");
   t.row()
-      .cell("distributed")
-      .cell(static_cast<long long>(dist.svd.sweeps))
-      .cell(ms2, 1)
-      .cell(bitwise(dist.svd) ? "yes" : "NO")
-      .cell(std::to_string(dist.delivered_messages) + " routed messages, contention " +
-            std::to_string(dist.cost.max_contention).substr(0, 4));
-  t.row()
       .cell("spmd (threads)")
       .cell(static_cast<long long>(spmd.sweeps))
-      .cell(ms3, 1)
-      .cell(bitwise(spmd) ? "yes" : "NO")
-      .cell(std::to_string(stats.messages) + " tagged messages, " + std::to_string(n / 2) +
-            " ranks");
+      .cell(ms2, 1)
+      .cell(bitwise ? "yes" : "NO")
+      .cell(std::to_string(n / 2) + " ranks exchanging tagged column messages");
   std::printf("%s", t.str().c_str());
 
-  std::printf("\nmodeled cost of the distributed run on the CM-5-like tree: total %.0f\n"
+  std::printf("\nmessages: %zu delivered by SPMD, %zu modelled by model_run (%s)\n",
+              stats.messages, cost.messages, counts_match ? "equal" : "DIFFERENT");
+  std::printf("modelled cost of the %d executed sweeps on the CM-5-like tree: total %.0f\n"
               "(compute %.0f + communication %.0f), worst channel contention %.2f\n",
-              dist.cost.total_time, dist.cost.compute_time, dist.cost.comm_time,
-              dist.cost.max_contention);
-  return (bitwise(dist.svd) && bitwise(spmd)) ? 0 : 1;
+              spmd.sweeps, cost.total_time, cost.compute_time, cost.comm_time,
+              cost.max_contention);
+  return (bitwise && counts_match) ? 0 : 1;
 }

@@ -2,9 +2,9 @@
 // Seeded PCT-style schedule fuzzer for the concurrency analysis layer.
 //
 // A FuzzPlan is a *schedule*, not a dice roll (the mp/fault idiom): every
-// perturbation decision is a pure splitmix64 hash of the decision's identity
-// mixed with the plan's seed, so two runs with the same seed perturb the
-// schedule identically. Two perturbations are applied:
+// perturbation decision is a pure mix64 hash (util/hash.hpp) of the
+// decision's identity mixed with the plan's seed, so two runs with the same
+// seed perturb the schedule identically. Two perturbations are applied:
 //
 //  * Chunk-order permutation — ThreadPool::parallel_for claims chunks through
 //    a seeded Fisher-Yates permutation instead of ascending order, so a
@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/hash.hpp"
+
 namespace treesvd::analysis {
 
 /// Decision-point kinds mixed into the hash so each site draws from an
@@ -31,15 +33,6 @@ inline constexpr std::uint64_t kFuzzPoolChunk = 1;  ///< pool chunk about to run
 inline constexpr std::uint64_t kFuzzMpSend = 2;     ///< before a transport send
 inline constexpr std::uint64_t kFuzzMpRecv = 3;     ///< before a transport recv
 inline constexpr std::uint64_t kFuzzMpSync = 4;     ///< before barrier/allreduce
-
-/// splitmix64 finalizer — the repo's standard deterministic hash
-/// (mp/fault.cpp uses the same constants for fault decisions).
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 struct FuzzPlan {
   std::uint64_t seed = 1;      ///< mixes into every decision

@@ -70,7 +70,7 @@ struct ReliableConfig {
 };
 
 /// Plain snapshot of every recovery counter (copyable, reported on
-/// SpmdStats/DistributedResult; the style of KernelStats).
+/// SpmdStats; the style of KernelStats).
 struct RecoveryStats {
   // Injector side (what the chaos plan actually did).
   std::size_t drops_seen = 0;            ///< frames lost (first sends + resends)

@@ -1,23 +1,19 @@
 #include "mp/frame.hpp"
 
+#include "util/hash.hpp"
 #include "util/require.hpp"
 
 namespace treesvd::mp {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'T', 'S', 'V', 'F'};
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
-/// FNV-1a over a raw byte range (the header checksum; the payload checksum
+/// FNV-1a over the 40 header bytes that precede it (the payload checksum
 /// stays frame_checksum so both transports share one payload format).
-std::uint64_t fnv1a_bytes(const std::uint8_t* p, std::size_t len) noexcept {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
+std::uint64_t header_checksum(const std::uint8_t* h) noexcept {
+  Fnv1a fnv;
+  fnv.add_bytes(h, 40);
+  return fnv.value();
 }
 
 void put_u64(std::uint8_t* p, std::uint64_t v) noexcept {
@@ -43,7 +39,7 @@ void encode_header(const WireFrame& frame, std::uint64_t payload_fnv, std::uint8
   put_u64(h + 16, frame.seq);
   put_u64(h + 24, frame.aux);
   put_u64(h + 32, static_cast<std::uint64_t>(frame.payload.size()));
-  put_u64(h + 40, fnv1a_bytes(h, 40));
+  put_u64(h + 40, header_checksum(h));
   put_u64(h + 48, payload_fnv);
 }
 
@@ -58,21 +54,11 @@ void append_payload(const std::vector<double>& payload, std::vector<std::uint8_t
 
 std::uint64_t frame_checksum(std::uint64_t tag, std::uint64_t seq, const double* data,
                              std::size_t count) noexcept {
-  std::uint64_t h = kFnvOffset;
-  const auto eat = [&h](std::uint64_t word) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (word >> (8 * b)) & 0xffu;
-      h *= kFnvPrime;
-    }
-  };
-  eat(tag);
-  eat(seq);
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &data[i], sizeof(bits));
-    eat(bits);
-  }
-  return h;
+  Fnv1a h;
+  h.add_u64(tag);
+  h.add_u64(seq);
+  h.add_doubles({data, count});
+  return h.value();
 }
 
 std::vector<double> make_frame(std::uint64_t tag, std::uint64_t seq,
@@ -135,7 +121,7 @@ WireDecode decode_wire_frame(const std::uint8_t* bytes, std::size_t len,
   // The header checksum vouches for the length field *before* it is trusted:
   // a corrupted count can never make the receiver wait for (or allocate) a
   // bogus gigantic frame, or walk off the end of the buffer.
-  if (get_u64(bytes + 40) != fnv1a_bytes(bytes, 40)) return WireDecode::kBadFrame;
+  if (get_u64(bytes + 40) != header_checksum(bytes)) return WireDecode::kBadFrame;
   const std::uint64_t count = get_u64(bytes + 32);
   if (count > max_payload_doubles) return WireDecode::kBadFrame;
   const std::size_t total = kWireHeaderBytes + static_cast<std::size_t>(count) * sizeof(double);

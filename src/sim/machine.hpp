@@ -2,6 +2,9 @@
 // Step-synchronous tree-machine model: binds an ordering to a fat-tree
 // topology and prices a full SVD run the way the CM-5 experiments of the
 // paper would measure it — per-step compute plus contended communication.
+// It is the pricing model for the two executors: model_run with a run's
+// sweep count charges exactly the messages an SPMD run (svd/spmd.hpp)
+// delivers.
 
 #include <cstddef>
 #include <vector>

@@ -1,11 +1,11 @@
 #include "svd/determinism.hpp"
 
-#include "analysis/digest.hpp"
+#include "util/hash.hpp"
 
 namespace treesvd {
 namespace {
 
-void add_core(analysis::Fnv1a& h, const SvdResult& r) {
+void add_core(Fnv1a& h, const SvdResult& r) {
   h.add_u64(r.u.rows());
   h.add_u64(r.u.cols());
   h.add_doubles(r.u.data());
@@ -24,13 +24,13 @@ void add_core(analysis::Fnv1a& h, const SvdResult& r) {
 }  // namespace
 
 std::uint64_t result_core_digest(const SvdResult& r) {
-  analysis::Fnv1a h;
+  Fnv1a h;
   add_core(h, r);
   return h.value();
 }
 
 std::uint64_t result_digest(const SvdResult& r) {
-  analysis::Fnv1a h;
+  Fnv1a h;
   add_core(h, r);
   const KernelStats& k = r.kernel_stats;
   h.add_u64(k.pairs);

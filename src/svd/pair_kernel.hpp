@@ -1,7 +1,7 @@
 #pragma once
 // Level 0 of the three-level engine hierarchy (DESIGN.md §14): rotate (and
 // optionally sort-swap) one column pair. Used by the serial, thread-parallel,
-// block, and distributed Jacobi drivers; the batched engine mirrors the same
+// block, and SPMD Jacobi drivers; the batched engine mirrors the same
 // decisions across lanes.
 //
 // The PairKernel class binds the options to a resolved CPU-dispatch kernel

@@ -1,8 +1,7 @@
 #pragma once
-// Engine-side fault tolerance shared by the SPMD Jacobi (svd/spmd.hpp) and
-// the distributed tree machine (sim/distributed.hpp): sweep-boundary
-// checkpointing with rollback/replay, a convergence watchdog, and the
-// non-finite payload guards.
+// Engine-side fault tolerance of the SPMD Jacobi (svd/spmd.hpp):
+// sweep-boundary checkpointing with rollback/replay, a convergence watchdog,
+// and the non-finite payload guards.
 //
 // Determinism rules (the contracts chaos_recovery_test pins down):
 //  * Checkpoints snapshot column ownership, column payloads, cached norms
@@ -96,8 +95,8 @@ class ConvergenceWatchdog {
 /// per-sweep activity and consult it only at exit, to distinguish a run that
 /// hit max_sweeps while still making progress (SvdStatus::kMaxSweeps) from
 /// one whose activity stopped decreasing (SvdStatus::kStalled — more sweeps
-/// would not have helped). Trivially copyable so spmd/distributed can carry
-/// it in their sweep checkpoints.
+/// would not have helped). Trivially copyable so spmd can carry it in its
+/// sweep checkpoints.
 class StallDetector {
  public:
   StallDetector() = default;

@@ -10,6 +10,7 @@
 #include "core/registry.hpp"
 #include "linalg/gemm.hpp"
 #include "svd/recovery.hpp"
+#include "util/hash.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
 
@@ -22,18 +23,6 @@ std::uint64_t now_ns() noexcept {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-/// splitmix64 finalizer — the mp/fault decision mixer, reused so serve-chaos
-/// decisions need no generator state.
-std::uint64_t mix64(std::uint64_t z) noexcept {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// Uniform double in [0, 1) from a hash (53 mantissa bits).
-double unit64(std::uint64_t h) noexcept { return static_cast<double>(h >> 11) * 0x1.0p-53; }
 
 /// Salt separating the request-fault stream from every other splitmix64 use.
 constexpr std::uint64_t kRequestSalt = 0x5E12FEull;
@@ -49,7 +38,7 @@ ServeFaultPlan::RequestFault ServeFaultPlan::request_fault(std::uint64_t id) con
     return RequestFault::kNone;
   // First match wins over a partition of [0, 1) — at most one fault per
   // request, bit-reproducible for a given (seed, id).
-  const double u = unit64(mix64(mix64(seed ^ kRequestSalt) ^ id));
+  const double u = unit_interval(mix64(mix64(seed ^ kRequestSalt) ^ id));
   double edge = poison_prob;
   if (u < edge) return RequestFault::kPoison;
   edge += throw_prob;

@@ -2,10 +2,11 @@
 // SPMD one-sided Jacobi over the message-passing runtime — the shape of the
 // paper's actual CM-5 implementation: one process per leaf, two columns per
 // process, columns exchanged by tagged messages, convergence decided by an
-// allreduce per sweep. Unlike the step-synchronous distributed machine
-// (sim/distributed.hpp) there is no global clock: ranks synchronise only
-// through the column messages themselves (dataflow), plus one collective per
-// sweep.
+// allreduce per sweep. This is the repo's one distributed executor. There is
+// no global clock: ranks synchronise only through the column messages
+// themselves (dataflow), plus one collective per sweep. A run delivers
+// exactly the messages the pricing model (sim/machine.hpp, model_run)
+// charges for the sweeps it executed, so model_run prices SPMD runs.
 //
 // Fault tolerance (opt-in via SpmdTransport): the reliable transport makes
 // the run bit-identical to the fault-free one under any drop / duplicate /

@@ -10,13 +10,13 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/digest.hpp"
 #include "analysis/fuzz.hpp"
 #include "analysis/hb.hpp"
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
 #include "svd/determinism.hpp"
 #include "svd/jacobi.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 #if defined(TREESVD_ANALYSIS) && TREESVD_ANALYSIS
@@ -261,9 +261,9 @@ TEST(ScheduleFuzzer, YieldProbabilityBoundsBehaviour) {
 
 TEST(ScheduleFuzzer, Mix64MatchesSplitmixAndSpreads) {
   // Deterministic, constexpr-evaluable, and not the identity.
-  static_assert(analysis::mix64(0) == analysis::mix64(0));
-  EXPECT_NE(analysis::mix64(1), 1u);
-  EXPECT_NE(analysis::mix64(1), analysis::mix64(2));
+  static_assert(mix64(0) == 0xe220a8397b1dcdafULL);  // splitmix64's first output for seed 0
+  EXPECT_NE(mix64(1), 1u);
+  EXPECT_NE(mix64(1), mix64(2));
 }
 
 TEST(DeterminismDigest, SameResultSameDigest) {
@@ -295,11 +295,25 @@ TEST(DeterminismDigest, SensitiveToValuesAndKernelStats) {
   EXPECT_NE(result_digest(counted), full);
 }
 
+TEST(DeterminismDigest, Fnv1aMatchesReferenceAndIsLittleEndian) {
+  EXPECT_EQ(Fnv1a{}.value(), 0xcbf29ce484222325ULL);
+  Fnv1a a;
+  a.add_bytes("a", 1);
+  EXPECT_EQ(a.value(), 0xaf63dc4c8601ec8cULL);
+  // add_u64 feeds the low byte first on every host.
+  const std::uint8_t le[8] = {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01};
+  Fnv1a bytes;
+  bytes.add_bytes(le, sizeof(le));
+  Fnv1a word;
+  word.add_u64(0x0102030405060708ULL);
+  EXPECT_EQ(word.value(), bytes.value());
+}
+
 TEST(DeterminismDigest, Fnv1aIsOrderSensitive) {
-  analysis::Fnv1a h1;
+  Fnv1a h1;
   h1.add_u64(1);
   h1.add_u64(2);
-  analysis::Fnv1a h2;
+  Fnv1a h2;
   h2.add_u64(2);
   h2.add_u64(1);
   EXPECT_NE(h1.value(), h2.value());

@@ -58,14 +58,6 @@ TEST(FailureInjection, SvdEnginesRejectWideAndTiny) {
   EXPECT_THROW(one_sided_jacobi(tiny, *ord), std::invalid_argument);
 }
 
-TEST(FailureInjection, DistributedMachineChecks) {
-  Rng rng(2);
-  const Matrix a = random_gaussian(16, 8, rng);
-  const FatTreeTopology wrong(2, CapacityProfile::kPerfect);
-  EXPECT_THROW(distributed_jacobi(a, *make_ordering("fat-tree"), wrong),
-               std::invalid_argument);
-}
-
 TEST(FailureInjection, NetworkChecks) {
   EXPECT_THROW(FatTreeTopology(5, CapacityProfile::kCm5), std::invalid_argument);
   const FatTreeTopology t(8, CapacityProfile::kPerfect);

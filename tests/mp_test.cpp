@@ -8,6 +8,8 @@
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
 #include "mp/message_passing.hpp"
+#include "network/topology.hpp"
+#include "sim/machine.hpp"
 #include "svd/spmd.hpp"
 
 namespace treesvd {
@@ -240,6 +242,13 @@ TEST(MessagePassing, PurgeLeftoversOnAbortedWorldThrows) {
 
 using Param = std::tuple<std::string, int>;
 
+/// The modelled message count of `sweeps` sweeps of `ord` at width n: the
+/// pricing model counts one message per inter-leaf column move.
+std::size_t modelled_messages(const Ordering& ord, int n, int sweeps) {
+  const FatTreeTopology topo(n / 2, CapacityProfile::kCm5);
+  return model_run(ord, topo, n, CostParams{}, sweeps).per_sweep_total.messages;
+}
+
 class SpmdAcrossOrderings : public ::testing::TestWithParam<Param> {};
 
 TEST_P(SpmdAcrossOrderings, BitwiseMatchesSerialEngine) {
@@ -260,14 +269,54 @@ TEST_P(SpmdAcrossOrderings, BitwiseMatchesSerialEngine) {
     EXPECT_EQ(spmd.sigma[k], serial.sigma[k]);
   EXPECT_EQ(spmd.u, serial.u);
   EXPECT_EQ(spmd.v, serial.v);
-  EXPECT_GT(stats.messages, 0u);
+  EXPECT_EQ(stats.messages, modelled_messages(*ord, n, spmd.sweeps));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Orderings, SpmdAcrossOrderings,
-    ::testing::Combine(::testing::Values("round-robin", "odd-even", "fat-tree", "new-ring",
-                                         "hybrid-g2"),
-                       ::testing::Values(8, 16)),
+    ::testing::Combine(::testing::Values("round-robin", "odd-even", "fat-tree", "llb-fat-tree",
+                                         "new-ring", "modified-ring", "hybrid-g2", "hybrid-g4"),
+                       ::testing::Values(8, 16, 32)),
+    [](const ::testing::TestParamInfo<Param>& param_info) {
+      std::string name = std::get<0>(param_info.param) + "_n" + std::to_string(std::get<1>(param_info.param));
+      for (auto& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
+
+/// SPMD is the distributed executor: on tall 2n x n inputs, at the widths a
+/// fat tree of n/2 leaves runs, it must reproduce the shared-memory engine
+/// bit for bit and deliver exactly the messages the pricing model charges.
+class DistributedAcrossOrderings : public ::testing::TestWithParam<Param> {};
+
+TEST_P(DistributedAcrossOrderings, BitwiseMatchesSharedMemoryEngine) {
+  const auto& [name, n] = GetParam();
+  const auto ord = make_ordering(name);
+  if (!ord->supports(n)) GTEST_SKIP();
+  Rng rng(99);
+  const Matrix a = random_gaussian(static_cast<std::size_t>(2 * n), static_cast<std::size_t>(n),
+                                   rng);
+  SpmdStats stats;
+  const SvdResult d = spmd_jacobi(a, *ord, {}, &stats);
+  const SvdResult shared = one_sided_jacobi(a, *ord);
+
+  ASSERT_TRUE(d.converged);
+  EXPECT_EQ(d.sweeps, shared.sweeps);
+  EXPECT_EQ(d.rotations, shared.rotations);
+  EXPECT_EQ(d.swaps, shared.swaps);
+  ASSERT_EQ(d.sigma.size(), shared.sigma.size());
+  for (std::size_t k = 0; k < shared.sigma.size(); ++k)
+    EXPECT_EQ(d.sigma[k], shared.sigma[k]) << "k=" << k;
+  EXPECT_EQ(d.u, shared.u);
+  EXPECT_EQ(d.v, shared.v);
+  EXPECT_EQ(stats.messages, modelled_messages(*ord, n, d.sweeps));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Orderings, DistributedAcrossOrderings,
+    ::testing::Combine(::testing::Values("round-robin", "odd-even", "fat-tree", "llb-fat-tree",
+                                         "new-ring", "modified-ring", "hybrid-g4"),
+                       ::testing::Values(16, 32)),
     [](const ::testing::TestParamInfo<Param>& param_info) {
       std::string name = std::get<0>(param_info.param) + "_n" + std::to_string(std::get<1>(param_info.param));
       for (auto& c : name)
@@ -276,7 +325,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Spmd, MessageCountMatchesSchedule) {
-  // Every inter-leaf move of every executed sweep is exactly one message.
+  // Every inter-leaf move of every executed sweep is exactly one message,
+  // so the delivered count is the one the pricing model charges for.
   Rng rng(322);
   const int n = 8;
   const Matrix a = random_gaussian(12, static_cast<std::size_t>(n), rng);
@@ -284,18 +334,7 @@ TEST(Spmd, MessageCountMatchesSchedule) {
   SpmdStats stats;
   const SvdResult r = spmd_jacobi(a, *ord, {}, &stats);
   ASSERT_TRUE(r.converged);
-  std::vector<int> layout(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) layout[static_cast<std::size_t>(i)] = i;
-  std::size_t expected = 0;
-  for (int k = 0; k < r.sweeps; ++k) {
-    const Sweep s = ord->sweep_from(layout, k);
-    for (int t = 0; t < s.steps(); ++t)
-      for (const ColumnMove& mv : s.moves(t))
-        if (mv.from_slot / 2 != mv.to_slot / 2) ++expected;
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
-  }
-  EXPECT_EQ(stats.messages, expected);
+  EXPECT_EQ(stats.messages, modelled_messages(*ord, n, r.sweeps));
 }
 
 TEST(Spmd, PaddedWidthStillWorks) {

@@ -10,8 +10,6 @@
 #include "core/registry.hpp"
 #include "linalg/blas1.hpp"
 #include "linalg/generators.hpp"
-#include "network/topology.hpp"
-#include "sim/distributed.hpp"
 #include "svd/block_jacobi.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/kogbetliantz.hpp"
@@ -174,11 +172,6 @@ const NamedEngine kOneSidedEngines[] = {
     {"preconditioned",
      [](const Matrix& a) { return qr_preconditioned_jacobi(a, *make_ordering("fat-tree")); }},
     {"spmd", [](const Matrix& a) { return spmd_jacobi(a, *make_ordering("fat-tree")); }},
-    {"distributed",
-     [](const Matrix& a) {
-       const FatTreeTopology topo(static_cast<int>(a.cols()) / 2, CapacityProfile::kPerfect);
-       return distributed_jacobi(a, *make_ordering("fat-tree"), topo).svd;
-     }},
 };
 
 void check_degenerate(const SvdResult& r, const char* engine, std::size_t rank) {

@@ -34,6 +34,7 @@
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
+#include "report_json.hpp"
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
 
@@ -58,38 +59,6 @@ std::string first_divergence(const SvdResult& got, const SvdResult& want) {
       g.rotate_passes != w.rotate_passes || g.norm_refreshes != w.norm_refreshes)
     return "kernel pass counters differ";
   return {};
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string recovery_json(const mp::RecoveryStats& s) {
-  std::ostringstream os;
-  os << "{\"drops_seen\": " << s.drops_seen
-     << ", \"duplicates_injected\": " << s.duplicates_injected
-     << ", \"corruptions_injected\": " << s.corruptions_injected
-     << ", \"delays_seen\": " << s.delays_seen << ", \"kills\": " << s.kills
-     << ", \"stalls\": " << s.stalls << ", \"corruptions_detected\": " << s.corruptions_detected
-     << ", \"duplicates_suppressed\": " << s.duplicates_suppressed
-     << ", \"retries\": " << s.retries << ", \"resends\": " << s.resends
-     << ", \"virtual_backoff\": " << s.virtual_backoff
-     << ", \"checkpoints\": " << s.checkpoints << ", \"rollbacks\": " << s.rollbacks
-     << ", \"watchdog_trips\": " << s.watchdog_trips
-     << ", \"norm_rereductions\": " << s.norm_rereductions << "}";
-  return os.str();
 }
 
 struct SeedReport {

@@ -33,6 +33,7 @@
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
+#include "report_json.hpp"
 #include "svd/determinism.hpp"
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
@@ -58,36 +59,10 @@ std::string first_divergence(const SvdResult& got, const SvdResult& want) {
   return {};
 }
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string hex64(std::uint64_t v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "0x%016" PRIx64, v);
   return buf;
-}
-
-std::string recovery_json(const mp::RecoveryStats& s) {
-  std::ostringstream os;
-  os << "{\"drops_seen\": " << s.drops_seen << ", \"corruptions_detected\": "
-     << s.corruptions_detected << ", \"duplicates_suppressed\": " << s.duplicates_suppressed
-     << ", \"kills\": " << s.kills << ", \"retries\": " << s.retries
-     << ", \"resends\": " << s.resends << ", \"checkpoints\": " << s.checkpoints
-     << ", \"rollbacks\": " << s.rollbacks << "}";
-  return os.str();
 }
 
 struct CaseReport {

@@ -50,17 +50,18 @@ int main() {
 #include <string>
 #include <vector>
 
-#include "analysis/digest.hpp"
 #include "analysis/fuzz.hpp"
 #include "analysis/hb.hpp"
 #include "analysis/hooks.hpp"
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
+#include "report_json.hpp"
 #include "svd/batch.hpp"
 #include "svd/determinism.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/spmd.hpp"
 #include "util/cli.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -78,22 +79,6 @@ bool schedulable(const Ordering& ord, int n) {
   for (int w = n; w <= 2 * n + 4; ++w)
     if (ord.supports(w)) return true;
   return false;
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 std::string hex(std::uint64_t v) {
@@ -188,7 +173,7 @@ RunReport explore(const Engine& eng, const std::string& oname, const Matrix& a,
   std::string detail;
   for (int k = 0; k < schedules; ++k) {
     analysis::FuzzPlan plan;
-    plan.seed = analysis::mix64(base_seed ^ (static_cast<std::uint64_t>(k) + 1));
+    plan.seed = mix64(base_seed ^ (static_cast<std::uint64_t>(k) + 1));
     analysis::ScopedFuzzer fuzzer(plan);
     analysis::ScopedTracker tracker;
 
@@ -283,13 +268,13 @@ double order_dependent_sum(const analysis::FuzzPlan* plan) {
 }
 
 bool self_test_planted_divergence(std::string* why) {
-  analysis::Fnv1a ref;
+  Fnv1a ref;
   ref.add_double(order_dependent_sum(nullptr));
   bool diverged = false;
   for (std::uint64_t seed = 1; seed <= 8 && !diverged; ++seed) {
     analysis::FuzzPlan plan;
-    plan.seed = analysis::mix64(seed);
-    analysis::Fnv1a h;
+    plan.seed = mix64(seed);
+    Fnv1a h;
     h.add_double(order_dependent_sum(&plan));
     diverged = h.value() != ref.value();
   }

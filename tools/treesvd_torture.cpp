@@ -37,8 +37,7 @@
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
-#include "network/topology.hpp"
-#include "sim/distributed.hpp"
+#include "report_json.hpp"
 #include "svd/block_jacobi.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/kogbetliantz.hpp"
@@ -75,7 +74,6 @@ Outcome from_svd(const SvdResult& r) {
 struct Engine {
   std::string name;
   bool square_only = false;        ///< kogbetliantz: two-sided needs m == n
-  bool needs_exact_width = false;  ///< distributed: ordering.supports(n), no padding
   /// Units the ordering schedules for this engine: 1 = columns, otherwise
   /// the block width (the block driver schedules ceil(n/b) blocks).
   int unit_width = 1;
@@ -99,19 +97,19 @@ JacobiOptions jacobi_options(EquilibrateMode mode, int max_sweeps) {
 
 const std::vector<Engine>& engines() {
   static const std::vector<Engine> kEngines = {
-      {"serial", false, false, 1,
+      {"serial", false, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          return from_svd(one_sided_jacobi(a, ord, jacobi_options(mode, sweeps)));
        }},
-      {"threaded", false, false, 1,
+      {"threaded", false, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          return from_svd(one_sided_jacobi_threaded(a, ord, jacobi_options(mode, sweeps)));
        }},
-      {"cyclic", false, false, 1,
+      {"cyclic", false, 1,
        [](const Matrix& a, const Ordering&, EquilibrateMode mode, int sweeps) {
          return from_svd(cyclic_jacobi(a, jacobi_options(mode, sweeps)));
        }},
-      {"block-gram", false, false, 2,
+      {"block-gram", false, 2,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          BlockJacobiOptions opt;
          opt.inner_mode = InnerMode::kGram;
@@ -120,7 +118,7 @@ const std::vector<Engine>& engines() {
          opt.max_outer_sweeps = sweeps;
          return from_svd(block_one_sided_jacobi(a, ord, opt));
        }},
-      {"block-elementwise", false, false, 2,
+      {"block-elementwise", false, 2,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          BlockJacobiOptions opt;
          opt.inner_mode = InnerMode::kElementwise;
@@ -129,20 +127,15 @@ const std::vector<Engine>& engines() {
          opt.max_outer_sweeps = sweeps;
          return from_svd(block_one_sided_jacobi(a, ord, opt));
        }},
-      {"preconditioned", false, false, 1,
+      {"preconditioned", false, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          return from_svd(qr_preconditioned_jacobi(a, ord, jacobi_options(mode, sweeps)));
        }},
-      {"spmd", false, false, 1,
+      {"spmd", false, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          return from_svd(spmd_jacobi(a, ord, jacobi_options(mode, sweeps)));
        }},
-      {"distributed", false, true, 1,
-       [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
-         const FatTreeTopology topo(static_cast<int>(a.cols()) / 2, CapacityProfile::kPerfect);
-         return from_svd(distributed_jacobi(a, ord, topo, jacobi_options(mode, sweeps)).svd);
-       }},
-      {"kogbetliantz", true, false, 1,
+      {"kogbetliantz", true, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
          KogbetliantzOptions opt;
          opt.equilibrate = mode;
@@ -172,22 +165,6 @@ double scaled_sigma_error(std::vector<double> got, std::vector<double> ref) {
   for (std::size_t k = 0; k < ref.size(); ++k)
     err = std::max(err, std::fabs(got[k] - ref[k]) / smax);
   return err;
-}
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 struct RunReport {
@@ -237,7 +214,6 @@ int main(int argc, const char* const* argv) {
     for (const std::string& oname : ordering_names()) {
       if (eng.name == "cyclic" && oname != "round-robin") continue;  // ordering-free
       const OrderingPtr ordering = make_ordering(oname);
-      if (eng.needs_exact_width && !ordering->supports(n)) continue;
       if (!schedulable(*ordering, (n + eng.unit_width - 1) / eng.unit_width)) continue;
       for (const TortureCase& tc : suite) {
         if (eng.square_only && tc.a.rows() != tc.a.cols()) continue;
