@@ -24,6 +24,7 @@
 #include "linalg/golub_kahan.hpp"
 #include "linalg/symmetric_eigen.hpp"
 #include "svd/jacobi.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -95,7 +96,7 @@ int run_json_mode(const std::string& path) {
   Rng rng(1212);
   const auto spec = geometric_spectrum(12, 1e12);
 
-  std::vector<bench::JsonObject> rows;
+  std::vector<JsonObject> rows;
   for (const ScaleCase& sc : kScales) {
     const CaseMetrics m = run_case(sc, spec, rng);
     if (!m.converged) return fail(m.name + ": did not converge");
@@ -107,7 +108,7 @@ int run_json_mode(const std::string& path) {
       return fail(m.name + ": U orthonormality defect " + std::to_string(m.u_defect));
     if (!(m.v_defect >= 0.0 && m.v_defect <= kDefectTol))
       return fail(m.name + ": V orthonormality defect " + std::to_string(m.v_defect));
-    bench::JsonObject row;
+    JsonObject row;
     row.add("case", m.name)
         .add("sigma_max_scaled_err", m.max_scaled_err)
         .add("sigma_max_rel_err", m.max_rel_err)
@@ -119,7 +120,7 @@ int run_json_mode(const std::string& path) {
     rows.push_back(row);
   }
 
-  bench::JsonObject root;
+  JsonObject root;
   root.add("bench", "accuracy");
   root.add("schema", "treesvd-bench-v1");
   root.add("correctness", "ok");
@@ -128,7 +129,7 @@ int run_json_mode(const std::string& path) {
   root.add("residual_tol", kResidualTol);
   root.add("defect_tol", kDefectTol);
   root.add_array("cases", rows);
-  if (!bench::write_json_file(path, root)) return 1;
+  if (!write_json_file(path, root)) return 1;
   std::printf("accuracy correctness OK (3 scale cases), report written to %s\n", path.c_str());
   return 0;
 }

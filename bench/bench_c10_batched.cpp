@@ -40,6 +40,7 @@
 #include "svd/determinism.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/serve.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -357,9 +358,9 @@ int run(const std::string& json_path) {
     return 0;
   }
 
-  std::vector<bench::JsonObject> engine_rows;
+  std::vector<JsonObject> engine_rows;
   for (const EngineCase& c : cases) {
-    bench::JsonObject row;
+    JsonObject row;
     row.add("n", c.n)
         .add("batch", c.batch)
         .add("cache_norms", c.cache_norms)
@@ -368,9 +369,9 @@ int run(const std::string& json_path) {
         .add("speedup", c.speedup);
     engine_rows.push_back(row);
   }
-  std::vector<bench::JsonObject> serve_rows;
+  std::vector<JsonObject> serve_rows;
   for (std::size_t i = 0; i < serve.size(); ++i) {
-    bench::JsonObject row;
+    JsonObject row;
     row.add("n", kSizes[i])
         .add("requests", serve[i].requests)
         .add("qps", serve[i].qps)
@@ -384,7 +385,7 @@ int run(const std::string& json_path) {
         .add("restarts", static_cast<std::size_t>(serve[i].restarts));
     serve_rows.push_back(row);
   }
-  bench::JsonObject faulted_row;
+  JsonObject faulted_row;
   faulted_row.add("n", std::size_t{16})
       .add("requests", faulted.requests)
       .add("qps", faulted.qps)
@@ -396,7 +397,7 @@ int run(const std::string& json_path) {
       .add("shed", static_cast<std::size_t>(faulted.shed))
       .add("failed", static_cast<std::size_t>(faulted.failed))
       .add("restarts", static_cast<std::size_t>(faulted.restarts));
-  bench::JsonObject root;
+  JsonObject root;
   root.add("bench", "batched_serve");
   root.add("schema", "treesvd-bench-v1");
   root.add("correctness", "ok");
@@ -407,7 +408,7 @@ int run(const std::string& json_path) {
   root.add_array("engine", engine_rows);
   root.add_array("serve", serve_rows);
   root.add_array("serve_faults", {faulted_row});
-  if (!bench::write_json_file(json_path, root)) return 1;
+  if (!write_json_file(json_path, root)) return 1;
   std::printf("batched correctness OK (%zu engine cases, %zu serve points), "
               "report written to %s\n",
               cases.size(), serve.size(), json_path.c_str());

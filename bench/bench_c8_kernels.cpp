@@ -28,6 +28,7 @@
 #include "linalg/generators.hpp"
 #include "linalg/rotation.hpp"
 #include "svd/jacobi.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -309,7 +310,6 @@ int check_kernels() {
 int run_json_mode(const std::string& path) {
   if (const int rc = check_kernels(); rc != 0) return rc;
 
-  using treesvd::bench::JsonObject;
   Rng rng(23);
   JsonObject root;
   root.add("bench", "kernels");
@@ -501,7 +501,7 @@ int run_json_mode(const std::string& path) {
     root.add_array("cached_driver_counters", {ks});
   }
 
-  if (!treesvd::bench::write_json_file(path, root)) return 1;
+  if (!treesvd::write_json_file(path, root)) return 1;
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

@@ -31,6 +31,7 @@
 #include "linalg/gemm.hpp"
 #include "linalg/generators.hpp"
 #include "svd/block_jacobi.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -240,7 +241,6 @@ int check_blas3() {
 int run_json_mode(const std::string& path) {
   if (const int rc = check_blas3(); rc != 0) return rc;
 
-  using treesvd::bench::JsonObject;
   JsonObject root;
   root.add("bench", "blas3");
   root.add("schema", "treesvd-bench-v1");
@@ -353,7 +353,7 @@ int run_json_mode(const std::string& path) {
                 4 * n, n, t_elem * 1e3, t_gram * 1e3, t_elem / t_gram);
   }
 
-  if (!treesvd::bench::write_json_file(path, root)) return 1;
+  if (!treesvd::write_json_file(path, root)) return 1;
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }

@@ -1,12 +1,10 @@
 #pragma once
 // Shared helpers for the figure/claim reproduction binaries: pretty-printing
-// of ordering sweeps in the paper's notation, and a tiny JSON emitter for
-// the BENCH_*.json perf artifacts (machine-readable baselines the CI
-// perf-smoke job uploads; no external JSON dependency).
+// of ordering sweeps in the paper's notation. The BENCH_*.json perf artifacts
+// are written with the shared JSON writer (util/json.hpp).
 
+#include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -14,71 +12,6 @@
 #include "core/validate.hpp"
 
 namespace treesvd::bench {
-
-/// Append-only ordered JSON object: add() renders each field immediately, so
-/// the builder is just a list of "key": value strings. Supports the flat
-/// scalar fields plus arrays of sub-objects — all a BENCH_*.json needs.
-class JsonObject {
- public:
-  JsonObject& add(const std::string& key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return raw(key, buf);
-  }
-  JsonObject& add(const std::string& key, long long v) { return raw(key, std::to_string(v)); }
-  JsonObject& add(const std::string& key, std::size_t v) { return raw(key, std::to_string(v)); }
-  JsonObject& add(const std::string& key, bool v) { return raw(key, v ? "true" : "false"); }
-  JsonObject& add(const std::string& key, const std::string& v) {
-    return raw(key, "\"" + escape(v) + "\"");
-  }
-  JsonObject& add(const std::string& key, const char* v) { return add(key, std::string(v)); }
-  JsonObject& add_array(const std::string& key, const std::vector<JsonObject>& items) {
-    std::string out = "[";
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += items[i].str();
-    }
-    out += "]";
-    return raw(key, out);
-  }
-
-  std::string str() const {
-    std::string out = "{";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += fields_[i];
-    }
-    out += "}";
-    return out;
-  }
-
- private:
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
-  JsonObject& raw(const std::string& key, const std::string& rendered) {
-    fields_.push_back("\"" + escape(key) + "\": " + rendered);
-    return *this;
-  }
-  std::vector<std::string> fields_;
-};
-
-/// Writes the object (plus trailing newline) to `path`; returns false and
-/// prints to stderr when the file cannot be written.
-inline bool write_json_file(const std::string& path, const JsonObject& o) {
-  std::ofstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  f << o.str() << "\n";
-  return f.good();
-}
 
 /// Maps a 0-based index to the paper's label, e.g. "3(2)" for index 3 of
 /// block/group 2. group_size == 0 suppresses the superscript.
@@ -89,15 +22,22 @@ inline std::string label(int index, int group_size = 0) {
   return std::to_string(within) + "(" + std::to_string(group) + ")";
 }
 
+/// One step's index pairs in the paper's notation, e.g. "(1 2)(3 4)".
+inline std::string pairs_row(const Sweep& sweep, int t, int group_size = 0) {
+  std::string row;
+  for (const IndexPair& p : sweep.pairs(t)) {
+    row += '(';
+    row += label(p.even, group_size) + " " + label(p.odd, group_size) + ")";
+  }
+  return row;
+}
+
 /// Prints one sweep as the paper's figures do: one row per step with the
 /// index pairs, plus the deepest communication level of the transition that
 /// follows the step ("global" when it reaches `global_level`).
 inline void print_sweep(const Sweep& sweep, int group_size = 0, int global_level = -1) {
   for (int t = 0; t < sweep.steps(); ++t) {
-    std::string row;
-    for (const IndexPair& p : sweep.pairs(t)) {
-      row += "(" + label(p.even, group_size) + " " + label(p.odd, group_size) + ")";
-    }
+    const std::string row = pairs_row(sweep, t, group_size);
     int deepest = 0;
     for (const ColumnMove& mv : sweep.moves(t))
       deepest = std::max(deepest, comm_level(mv.from_slot, mv.to_slot));

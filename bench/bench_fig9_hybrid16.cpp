@@ -17,9 +17,7 @@ int main() {
   heading("Fig 9: the hybrid ordering for sixteen indices (four groups)");
   const Sweep s = HybridOrdering(groups).sweep(n);
   for (int t = 0; t < s.steps(); ++t) {
-    std::string row;
-    for (const IndexPair& p : s.pairs(t))
-      row += "(" + label(p.even, gsz) + " " + label(p.odd, gsz) + ")";
+    const std::string row = pairs_row(s, t, gsz);
     // A transition is "global" when a column changes group.
     bool global = false;
     int deepest = 0;

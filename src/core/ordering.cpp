@@ -99,4 +99,29 @@ Sweep Ordering::sweep_from(std::span<const int> layout0, int sweep_index) const 
   return Sweep(std::move(c.layouts), std::move(c.active));
 }
 
+namespace {
+
+/// Upper end of the padding window [n, 2n+4].
+int window_end(int n) { return 2 * n + 4; }
+
+/// The padding rule itself; 0 when the window holds no supported width.
+int find_padded_width(const Ordering& ordering, int n) {
+  for (int w = n; w <= window_end(n); ++w)
+    if (ordering.supports(w)) return w;
+  return 0;
+}
+
+}  // namespace
+
+int padded_width(const Ordering& ordering, int n, const std::string& unit,
+                 const std::string& context) {
+  const int w = find_padded_width(ordering, n);
+  TREESVD_REQUIRE(w != 0, ordering.name() + " supports no " + unit + " in [" +
+                              std::to_string(n) + ", " + std::to_string(window_end(n)) + "]" +
+                              (context.empty() ? "" : " (" + context + ")"));
+  return w;
+}
+
+bool schedulable(const Ordering& ordering, int n) { return find_padded_width(ordering, n) != 0; }
+
 }  // namespace treesvd

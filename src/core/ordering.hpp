@@ -156,4 +156,16 @@ class Ordering {
 
 using OrderingPtr = std::shared_ptr<const Ordering>;
 
+/// The padding window every driver uses: the smallest width in [n, 2n+4]
+/// that `ordering` supports (the gap is filled with zero columns, identity
+/// rows or empty blocks). Every registered family supports some width within
+/// a factor of two of any request; +4 covers the tiny-n corner. Throws
+/// std::invalid_argument "<ordering> supports no <unit> in [n, 2n+4]",
+/// followed by " (<context>)" when given, if the window holds none.
+int padded_width(const Ordering& ordering, int n, const std::string& unit = "width",
+                 const std::string& context = "");
+
+/// Whether padded_width(ordering, n) succeeds.
+bool schedulable(const Ordering& ordering, int n);
+
 }  // namespace treesvd

@@ -144,14 +144,7 @@ EigenResult jacobi_symmetric_eigen(const Matrix& a, const Ordering& ordering,
   // diagonal entries are exact eigenpairs and never rotate against anything
   // meaningfully... they do rotate with real columns when a_ij = 0, which the
   // threshold skips, so they are inert).
-  int padded = 0;
-  for (int w = static_cast<int>(n0); w <= 2 * static_cast<int>(n0) + 4; ++w) {
-    if (ordering.supports(w)) {
-      padded = w;
-      break;
-    }
-  }
-  TREESVD_REQUIRE(padded > 0, ordering.name() + " supports no width near n");
+  const int padded = padded_width(ordering, static_cast<int>(n0));
   Matrix work(static_cast<std::size_t>(padded), static_cast<std::size_t>(padded));
   for (std::size_t j = 0; j < n0; ++j)
     for (std::size_t i = 0; i < n0; ++i) work(i, j) = a(i, j);

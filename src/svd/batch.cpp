@@ -96,7 +96,7 @@ BatchedSvd::BatchedSvd(std::size_t rows, std::size_t cols, const Ordering& order
                   "BatchedSvd lane_width must be 4, 8 or 16");
   TREESVD_REQUIRE(!options_.jacobi.track_off,
                   "BatchedSvd does not support track_off (per-sweep O(n^2 m) diagnostics)");
-  padded_n_ = detail::padded_width(ordering, static_cast<int>(cols_));
+  padded_n_ = padded_width(ordering, static_cast<int>(cols_));
 
   // The sweep schedule is data-independent — orderings are position
   // procedures, and the layout evolution depends only on the previous

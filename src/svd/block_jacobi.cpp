@@ -212,19 +212,10 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   const int n = static_cast<int>(a.cols());
   const int b = options.block_width;
 
-  // Number of blocks the ordering will drive: the smallest supported count
-  // in [ceil(n/b), 2*ceil(n/b) + 4]. Every registered family supports some
-  // count within a factor of two of any request (next power of two, next
-  // even count, next group multiple); +4 covers the tiny-count corner. The
-  // matrix is padded with zero columns to nb * b.
-  const int nb_min = (n + b - 1) / b;
-  const int nb_limit = 2 * nb_min + 4;
-  int nb = nb_min;
-  while (nb <= nb_limit && !ordering.supports(nb)) ++nb;
-  TREESVD_REQUIRE(nb <= nb_limit,
-                  ordering.name() + " supports no block count in [" + std::to_string(nb_min) +
-                      ", " + std::to_string(nb_limit) + "] (n=" + std::to_string(n) +
-                      ", block_width=" + std::to_string(b) + ")");
+  // Number of blocks the ordering will drive, by the drivers' padding rule;
+  // the matrix is padded with zero columns to nb * b.
+  const int nb = padded_width(ordering, (n + b - 1) / b, "block count",
+                              "n=" + std::to_string(n) + ", block_width=" + std::to_string(b));
   const int padded_n = nb * b;
 
   Matrix h(a.rows(), static_cast<std::size_t>(padded_n));

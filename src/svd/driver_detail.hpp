@@ -24,18 +24,6 @@
 
 namespace treesvd::detail {
 
-/// Smallest width w >= n the ordering supports (searched up to 2n+4, the
-/// same window pad_columns always used). Throws when nothing in the window
-/// is supported.
-inline int padded_width(const Ordering& ordering, int n) {
-  for (int w = n; w <= 2 * n + 4; ++w) {
-    if (ordering.supports(w)) return w;
-  }
-  TREESVD_REQUIRE(false, ordering.name() + " supports no width in [n, 2n+4] for n=" +
-                             std::to_string(n));
-  return 0;
-}
-
 /// Pads A with zero columns to the nearest width the ordering supports.
 inline Matrix pad_columns(const Matrix& a, const Ordering& ordering, int* padded_n) {
   const int n = static_cast<int>(a.cols());

@@ -55,14 +55,7 @@ KogbetliantzResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
                   "kogbetliantz_svd needs a square matrix (QR-reduce tall inputs first)");
   require_finite_columns(a, "kogbetliantz_svd");
   const std::size_t n0 = a.rows();
-  int padded = 0;
-  for (int w = static_cast<int>(n0); w <= 2 * static_cast<int>(n0) + 4; ++w) {
-    if (ordering.supports(w)) {
-      padded = w;
-      break;
-    }
-  }
-  TREESVD_REQUIRE(padded > 0, ordering.name() + " supports no width near n");
+  const int padded = padded_width(ordering, static_cast<int>(n0));
   const auto np = static_cast<std::size_t>(padded);
 
   Matrix work(np, np);

@@ -193,14 +193,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2, "spmd_jacobi expects m >= n >= 2");
   require_finite_columns(a, "spmd_jacobi");
   const int n0 = static_cast<int>(a.cols());
-  int n = 0;
-  for (int w = n0; w <= 2 * n0 + 4; ++w) {
-    if (ordering.supports(w)) {
-      n = w;
-      break;
-    }
-  }
-  TREESVD_REQUIRE(n > 0, ordering.name() + " supports no width near n");
+  const int n = padded_width(ordering, n0);
   const std::size_t rows = a.rows();
   const int ranks = n / 2;
 

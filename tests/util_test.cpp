@@ -1,15 +1,19 @@
-// Tests for the util substrate: RNG, table formatter, CLI parser, thread pool.
+// Tests for the util substrate: RNG, table formatter, CLI parser, JSON writer,
+// thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -119,6 +123,76 @@ TEST(Cli, ParsesKeyValueAndFlags) {
 TEST(Cli, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "oops"};
   EXPECT_THROW(Cli(2, argv), std::invalid_argument);
+}
+
+TEST(Cli, RejectsMalformedNumbers) {
+  const char* argv[] = {"prog", "--sizes=8x", "--tol=abc", "--empty=", "--ok=-3", "--x=1e-10"};
+  const Cli cli(6, argv);
+  EXPECT_THROW(cli.get_int("sizes", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("tol", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("empty", 0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("ok", 0), -3);
+  EXPECT_DOUBLE_EQ(cli.get_double("x", 0.0), 1e-10);
+  try {
+    cli.get_int("sizes", 0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--sizes"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Cli, GetListSplitsAndRejectsEmptyItems) {
+  const char* argv[] = {"prog", "--names=a,bb,c", "--one=x", "--gap=a,,b", "--tail=a,",
+                        "--none="};
+  const Cli cli(6, argv);
+  EXPECT_EQ(cli.get_list("names", ""), (std::vector<std::string>{"a", "bb", "c"}));
+  EXPECT_EQ(cli.get_list("one", ""), std::vector<std::string>{"x"});
+  EXPECT_EQ(cli.get_list("missing", "p,q"), (std::vector<std::string>{"p", "q"}));
+  EXPECT_THROW(cli.get_list("gap", ""), std::invalid_argument);
+  EXPECT_THROW(cli.get_list("tail", ""), std::invalid_argument);
+  EXPECT_THROW(cli.get_list("none", ""), std::invalid_argument);
+}
+
+TEST(Cli, ListsEveryGivenKey) {
+  const char* argv[] = {"prog", "--b=1", "--a"};
+  EXPECT_EQ(Cli(3, argv).keys(), (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(json_escape("back\\slash"), "back\\\\slash");
+  EXPECT_EQ(json_escape("two\nlines"), "two\\nlines");
+  EXPECT_EQ(json_escape("tab\tbell\x07"), "tab\\tbell\\u0007");
+  JsonObject o;
+  o.add("stack", "frame 1\nframe \"2\"");
+  EXPECT_EQ(o.str(), "{\"stack\": \"frame 1\\nframe \\\"2\\\"\"}");
+}
+
+TEST(Json, NestsArraysOfObjectsWithArrays) {
+  JsonObject inner;
+  inner.add("n", 8).add_array("sizes", std::vector<int>{8, 16});
+  JsonObject root;
+  root.add("tool", "t").add_array("cases", {inner, inner}).add("pass", true);
+  const std::string want_case = "{\"n\": 8, \"sizes\": [8, 16]}";
+  EXPECT_EQ(root.str(), "{\"tool\": \"t\", \"cases\": [" + want_case + ", " + want_case +
+                            "], \"pass\": true}");
+  EXPECT_EQ(root.str(true), "{\n  \"tool\": \"t\",\n  \"cases\": [\n    " + want_case +
+                                ",\n    " + want_case + "\n  ],\n  \"pass\": true\n}");
+  JsonObject empty_array;
+  empty_array.add_array("xs", std::vector<std::string>{});
+  EXPECT_EQ(empty_array.str(true), "{\n  \"xs\": []\n}");
+}
+
+TEST(Json, DoublesRoundTripBitExactly) {
+  for (const double v : {0.1, 1.0 / 3.0, 6.02214076e23, 5e-324, -2.5e-308}) {
+    JsonObject o;
+    o.add("v", v);
+    const std::string s = o.str();
+    const double back = std::strtod(s.c_str() + std::strlen("{\"v\": "), nullptr);
+    EXPECT_EQ(std::memcmp(&back, &v, sizeof v), 0) << s;
+  }
+  JsonObject nonfinite;
+  nonfinite.add("inf", HUGE_VAL).add("nan", std::nan(""));
+  EXPECT_EQ(nonfinite.str(), "{\"inf\": null, \"nan\": null}");
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {

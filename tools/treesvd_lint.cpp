@@ -20,36 +20,24 @@
 //                        schedule stays pair-disjoint at the inner panel
 //                        widths 4/8/16 across chained sweeps
 //
-// Output is machine-readable JSON (stdout, or --json=PATH); the exit status
-// is the contract: 0 means every check passed, 1 means at least one
-// violation, 2 means usage error. --corrupt=<kind> wraps each ordering in a
-// deliberately broken adapter (the linter must then exit 1), and --self-test
-// runs both directions in-process.
-//
-// Usage:
-//   treesvd_lint [--min-n=4] [--max-n=64] [--orderings=a,b,...]
-//                [--sweeps=4] [--json=PATH] [--corrupt=KIND] [--self-test]
-//   KIND: duplicate-pair | no-restore | reversed-traffic | overlapping-pair
+// --corrupt=<kind> wraps each ordering in a deliberately broken adapter (the
+// linter must then exit 1), and --self-test runs both directions in-process.
+// Flags, JSON report and exit codes follow the gate runner (gate.hpp).
 
 #include <algorithm>
-#include <fstream>
-#include <iostream>
 #include <iterator>
 #include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/ordering.hpp"
-#include "core/registry.hpp"
 #include "core/round_robin.hpp"
 #include "core/validate.hpp"
-#include "report_json.hpp"
-#include "util/cli.hpp"
+#include "gate.hpp"
 
 namespace treesvd::lint {
 namespace {
@@ -325,150 +313,75 @@ struct CaseReport {
   bool pass = true;
 };
 
-CaseReport run_case(const std::string& display_name, const Ordering& ord, int n, int sweeps,
-                    bool ring_checks) {
+/// Runs every check on one ordering at one n. The one-way-traffic theorem
+/// applies to new-ring, round-robin equivalence to new-ring and
+/// modified-ring; both are about the canonical schedule, and corrupted runs
+/// still exercise them so the linter can flag the break.
+CaseReport run_case(const std::string& name, const std::string& display, const Ordering& ord,
+                    int n, int sweeps) {
   CaseReport report;
-  report.ordering = display_name;
+  report.ordering = display;
   report.n = n;
-  const auto add = [&report](const std::string& name, std::string detail) {
-    CheckResult r;
-    r.name = name;
-    r.pass = detail.empty();
-    r.detail = std::move(detail);
-    report.pass = report.pass && r.pass;
-    report.checks.push_back(std::move(r));
+  const auto add = [&report](const std::string& check, std::string detail) {
+    const bool pass = detail.empty();
+    report.pass = report.pass && pass;
+    report.checks.push_back({check, pass, std::move(detail)});
   };
-
-  const Sweep s = ord.sweep(n);
-  add("pair-coverage", check_pair_coverage(s));
-  add("step-disjoint", check_step_disjointness(s, n));
-  add("sequence-validity", check_sequence(ord, n, sweeps));
-  add("steps-contract", check_steps_contract(ord, s, n));
-  add("rotation-count", check_rotation_count(s, n));
-  add("move-consistency", check_move_consistency(s));
-  add("restoration", check_restoration(ord, n));
-  add("comm-levels", check_comm_levels(s));
-  add("inner-recursion", check_inner_recursion(ord));
-  if (ring_checks) {
-    add("one-way-ring", check_one_way_ring(s));
-    add("rr-equivalence", check_rr_equivalence(s, n));
+  try {
+    const Sweep s = ord.sweep(n);
+    add("pair-coverage", check_pair_coverage(s));
+    add("step-disjoint", check_step_disjointness(s, n));
+    add("sequence-validity", check_sequence(ord, n, sweeps));
+    add("steps-contract", check_steps_contract(ord, s, n));
+    add("rotation-count", check_rotation_count(s, n));
+    add("move-consistency", check_move_consistency(s));
+    add("restoration", check_restoration(ord, n));
+    add("comm-levels", check_comm_levels(s));
+    add("inner-recursion", check_inner_recursion(ord));
+    if (name == "new-ring") add("one-way-ring", check_one_way_ring(s));
+    if (name == "new-ring" || name == "modified-ring")
+      add("rr-equivalence", check_rr_equivalence(s, n));
+  } catch (const std::exception& e) {
+    // A throwing ordering is itself a violation, not a linter crash.
+    report.checks.assign(1, {"no-exception", false, e.what()});
+    report.pass = false;
   }
   return report;
 }
 
-std::string to_json(const std::vector<CaseReport>& reports, int min_n, int max_n,
-                    const std::string& corruption, bool pass) {
-  std::ostringstream os;
-  os << "{\n  \"tool\": \"treesvd_lint\",\n  \"version\": 1,\n";
-  os << "  \"min_n\": " << min_n << ",\n  \"max_n\": " << max_n << ",\n";
-  os << "  \"corruption\": \"" << json_escape(corruption) << "\",\n";
-  std::size_t violations = 0;
-  for (const CaseReport& r : reports)
-    for (const CheckResult& c : r.checks) violations += c.pass ? 0 : 1;
-  os << "  \"violations\": " << violations << ",\n";
-  os << "  \"pass\": " << (pass ? "true" : "false") << ",\n  \"results\": [";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const CaseReport& r = reports[i];
-    os << (i ? "," : "") << "\n    {\"ordering\": \"" << json_escape(r.ordering)
-       << "\", \"n\": " << r.n << ", \"pass\": " << (r.pass ? "true" : "false")
-       << ", \"checks\": [";
-    for (std::size_t j = 0; j < r.checks.size(); ++j) {
-      const CheckResult& c = r.checks[j];
-      os << (j ? ", " : "") << "{\"name\": \"" << c.name << "\", \"pass\": "
-         << (c.pass ? "true" : "false");
-      if (!c.pass) os << ", \"detail\": \"" << json_escape(c.detail) << "\"";
-      os << "}";
-    }
-    os << "]}";
-  }
-  os << "\n  ]\n}\n";
-  return os.str();
-}
-
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream is(csv);
-  while (std::getline(is, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
-}
-
-/// The one-way-traffic and round-robin-equivalence theorems apply to the
-/// ring orderings; equivalence additionally holds for modified-ring.
-bool has_one_way_traffic(const std::string& name) { return name == "new-ring"; }
-bool is_rr_equivalent(const std::string& name) {
-  return name == "new-ring" || name == "modified-ring";
-}
-
-struct RunOutcome {
-  std::vector<CaseReport> reports;
-  bool pass = true;
-};
-
-RunOutcome run_all(const std::vector<std::string>& names, int min_n, int max_n, int sweeps,
-                   Corruption corruption) {
-  RunOutcome out;
+std::vector<CaseReport> run_all(const std::vector<std::string>& names, int min_n, int max_n,
+                                int sweeps, Corruption corruption) {
+  std::vector<CaseReport> out;
   for (const std::string& name : names) {
     OrderingPtr ord = make_ordering(name);
-    std::string display = name;
-    if (corruption != Corruption::kNone) {
+    if (corruption != Corruption::kNone)
       ord = std::make_shared<CorruptedOrdering>(std::move(ord), corruption);
-      display = ord->name();
-    }
-    for (int n = min_n; n <= max_n; ++n) {
-      if (!ord->supports(n)) continue;
-      // The ring theorems are about the canonical (uncorrupted) schedule;
-      // corrupted runs still exercise them so the linter can flag the break.
-      const bool ring = has_one_way_traffic(name);
-      CaseReport r;
-      try {
-        r = run_case(display, *ord, n, sweeps, ring);
-        if (!ring && is_rr_equivalent(name)) {
-          CheckResult c;
-          c.name = "rr-equivalence";
-          c.detail = check_rr_equivalence(ord->sweep(n), n);
-          c.pass = c.detail.empty();
-          r.pass = r.pass && c.pass;
-          r.checks.push_back(std::move(c));
-        }
-      } catch (const std::exception& e) {
-        // A throwing ordering is itself a violation, not a linter crash.
-        r.ordering = display;
-        r.n = n;
-        r.pass = false;
-        r.checks.push_back({"no-exception", false, e.what()});
-      }
-      out.pass = out.pass && r.pass;
-      out.reports.push_back(std::move(r));
-    }
+    const std::string display = corruption == Corruption::kNone ? name : ord->name();
+    for (int n = min_n; n <= max_n; ++n)
+      if (ord->supports(n)) out.push_back(run_case(name, display, *ord, n, sweeps));
   }
   return out;
 }
 
-int self_test() {
+bool all_pass(const std::vector<CaseReport>& reports) {
+  return std::all_of(reports.begin(), reports.end(), [](const CaseReport& r) { return r.pass; });
+}
+
+gate::Report self_test() {
+  gate::Report report;
+  report.summary = "self-test: clean registry accepted, all corruption kinds detected";
   // Direction 1: the clean registry must pass.
-  const auto names = ordering_names({2, 4});
-  const RunOutcome clean = run_all(names, 4, 16, 3, Corruption::kNone);
-  if (!clean.pass) {
-    std::cerr << "self-test FAILED: clean registry reported violations\n";
-    return 1;
-  }
+  if (!all_pass(run_all(ordering_names({2, 4}), 4, 16, 3, Corruption::kNone)))
+    report.fail("clean registry reported violations");
   // Direction 2: every corruption kind must be caught on every ordering it
   // structurally applies to (all sweeps have >= 3 layouts for n >= 4).
   const Corruption kinds[] = {Corruption::kDuplicatePair, Corruption::kNoRestore,
                               Corruption::kReversedTraffic, Corruption::kOverlappingPair};
   const char* kind_names[] = {"duplicate-pair", "no-restore", "reversed-traffic",
                               "overlapping-pair"};
-  for (std::size_t k = 0; k < std::size(kinds); ++k) {
-    const RunOutcome corrupted = run_all({"fat-tree", "new-ring", "round-robin"}, 8, 8, 3,
-                                         kinds[k]);
-    if (corrupted.pass) {
-      std::cerr << "self-test FAILED: corruption '" << kind_names[k]
-                << "' slipped past every check\n";
-      return 1;
-    }
-  }
+  for (std::size_t k = 0; k < std::size(kinds); ++k)
+    if (all_pass(run_all({"fat-tree", "new-ring", "round-robin"}, 8, 8, 3, kinds[k])))
+      report.fail(std::string("corruption '") + kind_names[k] + "' slipped past every check");
   // Direction 3: the disjointness checker itself must flag an overlapping
   // step, a self-pair, and an out-of-range index on a raw StepPairs view
   // (a full Sweep cannot carry these — its constructor rejects them — so
@@ -476,91 +389,74 @@ int self_test() {
   const std::vector<int> overlapping = {0, 1, 0, 3, 4, 5, 6, 7};
   const std::vector<int> self_pair = {0, 0, 2, 3, 4, 5, 6, 7};
   const std::vector<int> out_of_range = {0, 1, 2, 3, 4, 5, 6, 9};
-  for (const auto* bad : {&overlapping, &self_pair, &out_of_range}) {
-    const StepPairs view(std::span<const int>(*bad), {});
-    if (check_pairs_disjoint(view, 8, 0).empty()) {
-      std::cerr << "self-test FAILED: corrupt step layout not caught by the step-disjoint "
-                   "check\n";
-      return 1;
-    }
-  }
+  for (const auto* bad : {&overlapping, &self_pair, &out_of_range})
+    if (check_pairs_disjoint(StepPairs(std::span<const int>(*bad), {}), 8, 0).empty())
+      report.fail("corrupt step layout not caught by the step-disjoint check");
   const std::vector<int> clean_step = {0, 1, 2, 3, 4, 5, 6, 7};
-  if (!check_pairs_disjoint(StepPairs(std::span<const int>(clean_step), {}), 8, 0).empty()) {
-    std::cerr << "self-test FAILED: step-disjoint check flagged a clean step\n";
-    return 1;
-  }
-  std::cout << "self-test passed: clean registry accepted, all corruption kinds detected\n";
-  return 0;
+  if (!check_pairs_disjoint(StepPairs(std::span<const int>(clean_step), {}), 8, 0).empty())
+    report.fail("step-disjoint check flagged a clean step");
+  return report;
 }
 
-int main(int argc, const char* const* argv) {
-  const Cli cli(argc, argv);
-  if (cli.has("help")) {
-    std::cout << "usage: treesvd_lint [--min-n=4] [--max-n=64] [--orderings=a,b,...]\n"
-                 "                    [--sweeps=4] [--json=PATH] [--corrupt=KIND] [--self-test]\n"
-                 "KIND: duplicate-pair | no-restore | reversed-traffic | overlapping-pair\n";
-    return 0;
-  }
-  if (cli.has("self-test")) return self_test();
+constexpr gate::Flag kFlags[] = {
+    {"min-n", "4", "smallest n to lint"},
+    {"max-n", "64", "largest n to lint"},
+    {"orderings", "", "registry orderings to lint (default: all, hybrid g=2,4,8)"},
+    {"sweeps", "4", "chained sweeps for sequence validity"},
+    {"corrupt", "", "break every ordering: duplicate-pair | no-restore | reversed-traffic | "
+                    "overlapping-pair"},
+    {"self-test", "", "prove the linter accepts the registry and catches every corruption"},
+    {"json", "", "write the report here instead of stdout"},
+};
 
-  const int min_n = static_cast<int>(cli.get_int("min-n", 4));
-  const int max_n = static_cast<int>(cli.get_int("max-n", 64));
-  const int sweeps = static_cast<int>(cli.get_int("sweeps", 4));
-  if (min_n < 4 || max_n < min_n) {
-    std::cerr << "treesvd_lint: invalid n range [" << min_n << ", " << max_n << "]\n";
-    return 2;
-  }
-  const auto corruption = parse_corruption(cli.get("corrupt", ""));
-  if (!corruption) {
-    std::cerr << "treesvd_lint: unknown corruption kind '" << cli.get("corrupt", "") << "'\n";
-    return 2;
-  }
+gate::Report run(const gate::Args& args) {
+  if (args.has("self-test")) return self_test();
+  const int min_n = static_cast<int>(args.integer("min-n"));
+  const int max_n = static_cast<int>(args.integer("max-n"));
+  const int sweeps = static_cast<int>(args.integer("sweeps"));
+  gate::require(min_n >= 4 && max_n >= min_n, "invalid n range [" + std::to_string(min_n) +
+                                                  ", " + std::to_string(max_n) + "]");
+  const std::string corrupt = args.str("corrupt");
+  const auto corruption = parse_corruption(corrupt);
+  gate::require(corruption.has_value(), "unknown corruption kind '" + corrupt + "'");
+  const std::vector<std::string> names = args.orderings("orderings", ordering_names({2, 4, 8}));
 
-  std::vector<std::string> names;
-  if (cli.has("orderings")) {
-    names = split_csv(cli.get("orderings", ""));
-    for (const std::string& name : names) {
-      try {
-        make_ordering(name);
-      } catch (const std::invalid_argument&) {
-        std::cerr << "treesvd_lint: unknown ordering '" << name << "' (known: ";
-        const auto known = ordering_names({2, 4, 8});
-        for (std::size_t i = 0; i < known.size(); ++i) std::cerr << (i ? ", " : "") << known[i];
-        std::cerr << ")\n";
-        return 2;
+  gate::Report report;
+  std::vector<JsonObject> results;
+  std::size_t violations = 0;
+  for (const CaseReport& r : run_all(names, min_n, max_n, sweeps, *corruption)) {
+    std::vector<JsonObject> checks;
+    for (const CheckResult& c : r.checks) {
+      JsonObject check;
+      check.add("name", c.name).add("pass", c.pass);
+      if (!c.pass) {
+        check.add("detail", c.detail);
+        ++violations;
+        report.fail("violation: " + r.ordering + " n=" + std::to_string(r.n) + " " + c.name +
+                    ": " + c.detail);
       }
+      checks.push_back(check);
     }
-  } else {
-    names = ordering_names({2, 4, 8});
+    JsonObject row;
+    row.add("ordering", r.ordering).add("n", r.n).add("pass", r.pass).add_array("checks", checks);
+    results.push_back(row);
   }
-
-  const RunOutcome outcome = run_all(names, min_n, max_n, sweeps, *corruption);
-  const std::string json =
-      to_json(outcome.reports, min_n, max_n, cli.get("corrupt", ""), outcome.pass);
-  const std::string path = cli.get("json", "");
-  if (path.empty()) {
-    std::cout << json;
-  } else {
-    std::ofstream f(path);
-    if (!f) {
-      std::cerr << "treesvd_lint: cannot write " << path << "\n";
-      return 2;
-    }
-    f << json;
-    std::cout << (outcome.pass ? "PASS" : "FAIL") << ": " << outcome.reports.size()
-              << " ordering/size cases, report written to " << path << "\n";
-  }
-  if (!outcome.pass) {
-    for (const CaseReport& r : outcome.reports)
-      for (const CheckResult& c : r.checks)
-        if (!c.pass)
-          std::cerr << "violation: " << r.ordering << " n=" << r.n << " " << c.name << ": "
-                    << c.detail << "\n";
-  }
-  return outcome.pass ? 0 : 1;
+  report.json.add("tool", "treesvd_lint")
+      .add("version", 1)
+      .add("min_n", min_n)
+      .add("max_n", max_n)
+      .add("corruption", corrupt)
+      .add("violations", violations)
+      .add_array("results", results);
+  report.summary = std::to_string(results.size()) + " ordering/size cases";
+  return report;
 }
 
 }  // namespace
 }  // namespace treesvd::lint
 
-int main(int argc, char** argv) { return treesvd::lint::main(argc, argv); }
+int main(int argc, char** argv) {
+  return treesvd::gate::run("treesvd_lint",
+                            "Checks every registry ordering against the paper's invariants.",
+                            treesvd::lint::kFlags, argc, argv, treesvd::lint::run);
+}

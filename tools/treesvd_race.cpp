@@ -15,34 +15,17 @@
 //    sweep and rotation counts, kernel stats — must equal the serial
 //    reference bit-for-bit.
 //
-// The per-run results are emitted as machine-readable JSON (stdout, or
-// --json=PATH); the exit status is the contract: 0 means zero races and all
-// digests identical, 1 means at least one violation, 2 means usage error.
 // --self-test proves the machinery can fail: a planted write-write race must
 // be flagged (with both stacks) and a planted order-dependent reduction must
-// diverge under perturbed schedules.
-//
-// Usage:
-//   treesvd_race [--n=8] [--rows=12] [--seed=2026] [--schedules=16]
-//                [--threads=4] [--engines=threaded,spmd,batched] [--orderings=...]
-//                [--max-sweeps=60] [--json=PATH] [--self-test]
+// diverge under perturbed schedules. Flags, JSON report and exit codes follow
+// the gate runner (gate.hpp); a build without the analysis instrumentation
+// (-DTREESVD_ANALYSIS=ON, the default for Debug/RelWithDebInfo) can only
+// answer with a usage error.
 
-#if !defined(TREESVD_ANALYSIS) || !TREESVD_ANALYSIS
-
-#include <iostream>
-
-int main() {
-  std::cerr << "treesvd_race: this build has no concurrency-analysis instrumentation;\n"
-               "reconfigure with -DTREESVD_ANALYSIS=ON (default for Debug/RelWithDebInfo)\n";
-  return 2;
-}
-
-#else
-
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
@@ -53,14 +36,11 @@ int main() {
 #include "analysis/fuzz.hpp"
 #include "analysis/hb.hpp"
 #include "analysis/hooks.hpp"
-#include "core/registry.hpp"
+#include "gate.hpp"
 #include "linalg/generators.hpp"
-#include "report_json.hpp"
 #include "svd/batch.hpp"
-#include "svd/determinism.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/spmd.hpp"
-#include "util/cli.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -73,33 +53,10 @@ struct Engine {
   std::function<SvdResult(const Matrix&, const Ordering&, const JacobiOptions&)> run;
 };
 
-/// Mirrors the drivers' padding search (the torture harness idiom): can the
-/// ordering schedule n columns, padded up to the drivers' 2n+4 limit?
-bool schedulable(const Ordering& ord, int n) {
-  for (int w = n; w <= 2 * n + 4; ++w)
-    if (ord.supports(w)) return true;
-  return false;
-}
-
 std::string hex(std::uint64_t v) {
   std::ostringstream os;
   os << std::hex << v;
   return os.str();
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : s) {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  return out;
 }
 
 struct ScheduleRun {
@@ -302,123 +259,112 @@ bool self_test_clean_run(std::string* why) {
   return true;
 }
 
-int self_test() {
+gate::Report self_test() {
+  gate::Report report;
+  report.summary = "self-test: planted race and divergence caught, clean run stable";
   std::string why;
   for (const auto check :
-       {&self_test_planted_race, &self_test_planted_divergence, &self_test_clean_run}) {
-    if (!check(&why)) {
-      std::cerr << "treesvd_race self-test FAILED: " << why << "\n";
-      return 1;
-    }
-  }
-  std::cout << "treesvd_race self-test passed\n";
-  return 0;
+       {&self_test_planted_race, &self_test_planted_divergence, &self_test_clean_run})
+    if (!check(&why)) report.fail("self-test: " + why);
+  return report;
 }
 
-int main(int argc, const char* const* argv) {
-  const Cli cli(argc, argv);
-  if (cli.has("help")) {
-    std::cout << "usage: treesvd_race [--n=8] [--rows=12] [--seed=2026] [--schedules=16]\n"
-                 "                    [--threads=4] [--engines=threaded,spmd,batched]\n"
-                 "                    [--orderings=a,b,...] [--max-sweeps=60] [--json=PATH]\n"
-                 "                    [--self-test]\n";
-    return 0;
-  }
-  if (cli.has("self-test")) return self_test();
+#if defined(TREESVD_ANALYSIS) && TREESVD_ANALYSIS
+constexpr bool kInstrumented = true;
+#else
+constexpr bool kInstrumented = false;
+#endif
 
-  const int n = static_cast<int>(cli.get_int("n", 8));
-  const int rows = static_cast<int>(cli.get_int("rows", n + 4));
-  const int schedules = static_cast<int>(cli.get_int("schedules", 16));
-  const auto base_seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  const auto threads = static_cast<unsigned>(cli.get_int("threads", 4));
-  if (n < 4 || n % 2 != 0 || rows < n || schedules < 1 || threads < 2) {
-    std::cerr << "treesvd_race: need even n >= 4, rows >= n, schedules >= 1, threads >= 2\n";
-    return 2;
-  }
+constexpr gate::Flag kFlags[] = {
+    {"n", "8", "matrix columns (even, >= 4)"},
+    {"rows", "", "matrix rows (default n+4)"},
+    {"seed", "2026", "matrix and schedule seed"},
+    {"schedules", "16", "perturbed schedules per engine x ordering"},
+    {"threads", "4", "pool threads (>= 2)"},
+    {"engines", "threaded,spmd,batched", "engines to explore"},
+    {"orderings", "", "registry orderings (default: all)"},
+    {"max-sweeps", "60", "sweep cap per solve"},
+    {"self-test", "", "prove the detector and the oracle can fail"},
+    {"json", "", "write the report here instead of stdout"},
+};
 
-  std::vector<std::string> onames = ordering_names();
-  if (cli.has("orderings")) onames = split_csv(cli.get("orderings", ""));
-  std::vector<std::string> enames = {"threaded", "spmd", "batched"};
-  if (cli.has("engines")) enames = split_csv(cli.get("engines", ""));
+gate::Report run(const gate::Args& args) {
+  const int n = static_cast<int>(args.integer("n"));
+  const int rows = static_cast<int>(args.integer("rows", n + 4));
+  const int schedules = static_cast<int>(args.integer("schedules"));
+  const auto base_seed = static_cast<std::uint64_t>(args.integer("seed"));
+  const auto threads = static_cast<unsigned>(args.integer("threads"));
+  const int max_sweeps = static_cast<int>(args.integer("max-sweeps"));
+  gate::require(n >= 4 && n % 2 == 0 && rows >= n && schedules >= 1 && threads >= 2,
+                "need even n >= 4, rows >= n, schedules >= 1, threads >= 2");
+  const std::vector<std::string> onames = args.orderings("orderings", ordering_names());
+  const std::vector<std::string> enames = args.list("engines");
+  gate::require(kInstrumented,
+                "this build has no concurrency-analysis instrumentation; reconfigure with "
+                "-DTREESVD_ANALYSIS=ON (default for Debug/RelWithDebInfo)");
+  if (args.has("self-test")) return self_test();
 
   Rng rng(base_seed);
   const Matrix a =
       random_gaussian(static_cast<std::size_t>(rows), static_cast<std::size_t>(n), rng);
   JacobiOptions opt;
-  opt.max_sweeps = static_cast<int>(cli.get_int("max-sweeps", 60));
+  opt.max_sweeps = max_sweeps;
   // Grain 1 forces the chunked pool path (one logical task per leaf) even at
   // small n, so the tracker sees real concurrency on any host.
   opt.grain = 1;
 
-  std::vector<RunReport> reports;
-  bool pass = true;
+  gate::Report report;
+  std::vector<JsonObject> runs;
   for (const Engine& eng : engines(threads)) {
-    bool wanted = false;
-    for (const auto& e : enames) wanted = wanted || e == eng.name;
-    if (!wanted) continue;
+    if (std::find(enames.begin(), enames.end(), eng.name) == enames.end()) continue;
     for (const std::string& oname : onames) {
-      const OrderingPtr ordering = make_ordering(oname);
-      if (!schedulable(*ordering, n)) continue;
-      RunReport rep = explore(eng, oname, a, opt, schedules, base_seed);
-      pass = pass && rep.ok;
-      std::cerr << (rep.ok ? "ok   " : "FAIL ") << eng.name << " x " << oname;
-      if (!rep.ok) std::cerr << ": " << rep.detail;
-      std::cerr << "\n";
-      reports.push_back(std::move(rep));
+      if (!schedulable(*make_ordering(oname), n)) continue;
+      const RunReport rep = explore(eng, oname, a, opt, schedules, base_seed);
+      if (!rep.ok) report.fail(eng.name + " x " + oname + ": " + rep.detail);
+      std::vector<JsonObject> sched;
+      for (const ScheduleRun& s : rep.schedules) {
+        JsonObject o;
+        o.add("seed", s.seed)
+            .add("digest", hex(s.digest))
+            .add("match", s.match)
+            .add("races", s.races)
+            .add("events", s.events)
+            .add("tasks", s.tasks)
+            .add("yields", s.yields);
+        sched.push_back(o);
+      }
+      JsonObject r;
+      r.add("engine", rep.engine)
+          .add("ordering", rep.ordering)
+          .add("ok", rep.ok)
+          .add("serial_digest", hex(rep.serial_digest));
+      if (!rep.detail.empty()) r.add("detail", rep.detail);
+      r.add_array("schedules", sched);
+      if (!rep.races.empty()) r.add_array("races", rep.races);
+      runs.push_back(r);
     }
   }
-  if (reports.empty()) {
-    std::cerr << "treesvd_race: nothing to run (check --engines/--orderings)\n";
-    return 2;
-  }
+  gate::require(!runs.empty(), "nothing to run (check --engines/--orderings)");
 
-  std::ostringstream os;
-  os << "{\n  \"tool\": \"treesvd_race\",\n  \"n\": " << n << ",\n  \"rows\": " << rows
-     << ",\n  \"schedules\": " << schedules << ",\n  \"seed\": " << base_seed
-     << ",\n  \"threads\": " << threads << ",\n  \"pass\": " << (pass ? "true" : "false")
-     << ",\n  \"runs\": [";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const RunReport& r = reports[i];
-    os << (i != 0 ? "," : "") << "\n    {\"engine\": \"" << json_escape(r.engine)
-       << "\", \"ordering\": \"" << json_escape(r.ordering) << "\", \"ok\": "
-       << (r.ok ? "true" : "false") << ", \"serial_digest\": \"" << hex(r.serial_digest) << "\"";
-    if (!r.detail.empty()) os << ", \"detail\": \"" << json_escape(r.detail) << "\"";
-    os << ", \"schedules\": [";
-    for (std::size_t k = 0; k < r.schedules.size(); ++k) {
-      const ScheduleRun& s = r.schedules[k];
-      os << (k != 0 ? "," : "") << "{\"seed\": " << s.seed << ", \"digest\": \"" << hex(s.digest)
-         << "\", \"match\": " << (s.match ? "true" : "false") << ", \"races\": " << s.races
-         << ", \"events\": " << s.events << ", \"tasks\": " << s.tasks
-         << ", \"yields\": " << s.yields << "}";
-    }
-    os << "]";
-    if (!r.races.empty()) {
-      os << ", \"races\": [";
-      for (std::size_t k = 0; k < r.races.size(); ++k)
-        os << (k != 0 ? "," : "") << "\"" << json_escape(r.races[k]) << "\"";
-      os << "]";
-    }
-    os << "}";
-  }
-  os << "\n  ]\n}\n";
-
-  const std::string path = cli.get("json", "");
-  if (path.empty()) {
-    std::cout << os.str();
-  } else {
-    std::ofstream f(path);
-    f << os.str();
-    if (!f) {
-      std::cerr << "treesvd_race: cannot write " << path << "\n";
-      return 2;
-    }
-  }
-  return pass ? 0 : 1;
+  report.json.add("tool", "treesvd_race")
+      .add("n", n)
+      .add("rows", rows)
+      .add("schedules", schedules)
+      .add("seed", base_seed)
+      .add("threads", threads)
+      .add_array("runs", runs);
+  report.summary = std::to_string(runs.size()) + " engine x ordering runs, " +
+                   std::to_string(schedules) + " perturbed schedules each";
+  return report;
 }
 
 }  // namespace
 }  // namespace treesvd::race
 
-int main(int argc, char** argv) { return treesvd::race::main(argc, argv); }
+int main(int argc, char** argv) {
+  return treesvd::gate::run("treesvd_race",
+                            "Happens-before race detection and the schedule-perturbation "
+                            "determinism oracle\nover every threaded/SPMD engine x ordering.",
+                            treesvd::race::kFlags, argc, argv, treesvd::race::run);
+}
 
-#endif  // TREESVD_ANALYSIS

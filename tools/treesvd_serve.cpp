@@ -6,9 +6,9 @@
 // results bitwise against direct sequential solves, and dumps the latency
 // histogram and throughput counters as JSON.
 //
-// Exit status is the contract: 0 when every verified result matches the
-// sequential engine bit-for-bit and the histogram is sane (count == requests,
-// p50 <= p99, nonzero QPS); 1 on any violation; 2 on usage error.
+// The gate: every verified result matches the sequential engine bit-for-bit
+// and the histogram is sane (count == requests, p50 <= p99, nonzero QPS).
+// Flags, JSON report and exit codes follow the gate runner (gate.hpp).
 //
 // --chaos flips the tool into the deterministic serve-chaos gate: three
 // seeded fault legs (mixed poison/throw/expire with shard kills; overload
@@ -18,48 +18,36 @@
 // state), any healthy payload that diverges from the sequential solve, or
 // any counter drift between replays — the serving counterpart of the
 // transport chaos gate.
-//
-// Usage:
-//   treesvd_serve [--rows=32] [--cols=16] [--ordering=round-robin]
-//                 [--shards=2] [--lane-width=8] [--queue-cap=64]
-//                 [--requests=512] [--seed=2026] [--verify=32]
-//                 [--scalar] [--json=PATH]
-//   treesvd_serve --chaos [--rows=12] [--cols=8] [--ordering=round-robin]
-//                 [--requests=96] [--seed=2026] [--scalar] [--json=PATH]
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
-#include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/registry.hpp"
+#include "gate.hpp"
 #include "linalg/generators.hpp"
-#include "svd/determinism.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/serve.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace treesvd::serve_tool {
 namespace {
 
-std::string histogram_json(const LatencyHistogram& h) {
-  std::ostringstream os;
-  os << "{\"count\": " << h.count() << ", \"p50_ns\": " << h.p50_ns()
-     << ", \"p99_ns\": " << h.p99_ns() << ", \"max_ns\": " << h.max_ns()
-     << ", \"log2_buckets\": [";
+JsonObject histogram_json(const LatencyHistogram& h) {
   // Trailing zero buckets are elided; what remains is the occupied prefix.
   std::size_t last = 0;
   for (std::size_t k = 0; k < LatencyHistogram::kBuckets; ++k)
     if (h.buckets()[k] != 0) last = k + 1;
-  for (std::size_t k = 0; k < last; ++k) os << (k != 0 ? "," : "") << h.buckets()[k];
-  os << "]}";
-  return os.str();
+  const std::vector<std::uint64_t> occupied(h.buckets().begin(), h.buckets().begin() + last);
+  JsonObject o;
+  o.add("count", h.count())
+      .add("p50_ns", h.p50_ns())
+      .add("p99_ns", h.p99_ns())
+      .add("max_ns", h.max_ns())
+      .add_array("log2_buckets", occupied);
+  return o;
 }
 
 // ---------------------------------------------------------------------------
@@ -92,7 +80,6 @@ struct LegReport {
 
   void fail(std::string why) {
     ok = false;
-    std::cerr << "treesvd_serve[chaos:" << name << "]: " << why << "\n";
     errors.push_back(std::move(why));
   }
   void check(bool cond, const std::string& why) {
@@ -386,119 +373,106 @@ LegReport run_quarantine_leg(const ChaosConfig& cfg) {
   return leg;
 }
 
-std::string counters_json(const ServeStats& s) {
-  std::ostringstream os;
-  os << "{\"submitted\": " << s.submitted << ", \"completed\": " << s.completed
-     << ", \"solved\": " << s.solved << ", \"expired\": " << s.expired
-     << ", \"shed\": " << s.shed << ", \"failed\": " << s.failed
-     << ", \"rejected\": " << s.rejected << ", \"requeued\": " << s.requeued
-     << ", \"kills\": " << s.kills << ", \"restarts\": " << s.restarts
-     << ", \"quarantines\": " << s.quarantines
-     << ", \"stalls_injected\": " << s.stalls_injected
-     << ", \"stuck_detected\": " << s.stuck_detected << "}";
-  return os.str();
+JsonObject counters_json(const ServeStats& s) {
+  JsonObject o;
+  o.add("submitted", s.submitted)
+      .add("completed", s.completed)
+      .add("solved", s.solved)
+      .add("expired", s.expired)
+      .add("shed", s.shed)
+      .add("failed", s.failed)
+      .add("rejected", s.rejected)
+      .add("requeued", s.requeued)
+      .add("kills", s.kills)
+      .add("restarts", s.restarts)
+      .add("quarantines", s.quarantines)
+      .add("stalls_injected", s.stalls_injected)
+      .add("stuck_detected", s.stuck_detected);
+  return o;
 }
 
-int run_chaos(const Cli& cli) {
-  const auto rows = static_cast<std::size_t>(cli.get_int("rows", 12));
-  const auto cols = static_cast<std::size_t>(cli.get_int("cols", 8));
-  const auto requests = static_cast<std::size_t>(cli.get_int("requests", 96));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  const std::string oname = cli.get("ordering", "round-robin");
-  if (rows < cols || cols < 2 || requests < 24) {
-    std::cerr << "treesvd_serve --chaos: need rows >= cols >= 2 and requests >= 24\n";
-    return 2;
-  }
-  OrderingPtr ordering;
-  try {
-    ordering = make_ordering(oname);
-  } catch (const std::exception& e) {
-    std::cerr << "treesvd_serve: " << e.what() << "\n";
-    return 2;
-  }
+constexpr gate::Flag kFlags[] = {
+    {"rows", "32", "matrix rows (12 with --chaos)"},
+    {"cols", "16", "matrix columns (8 with --chaos)"},
+    {"ordering", "round-robin", "registry ordering"},
+    {"shards", "2", "shard worker threads"},
+    {"lane-width", "8", "batched-engine lanes per shard"},
+    {"queue-cap", "64", "per-shard submission queue capacity"},
+    {"requests", "512", "trace length (96 with --chaos)"},
+    {"seed", "2026", "trace and fault-plan seed"},
+    {"verify", "32", "served results checked against sequential solves"},
+    {"scalar", "", "use the scalar reference kernels"},
+    {"chaos", "", "run the three seeded, replayed serve-chaos legs instead"},
+    {"json", "", "write the report here instead of stdout"},
+};
+
+gate::Report run_chaos(const gate::Args& args) {
   ChaosConfig cfg;
-  cfg.rows = rows;
-  cfg.cols = cols;
-  cfg.requests = requests;
-  cfg.seed = seed;
-  cfg.scalar = cli.has("scalar");
+  cfg.rows = static_cast<std::size_t>(args.integer("rows", 12));
+  cfg.cols = static_cast<std::size_t>(args.integer("cols", 8));
+  cfg.requests = static_cast<std::size_t>(args.integer("requests", 96));
+  cfg.seed = static_cast<std::uint64_t>(args.integer("seed"));
+  cfg.scalar = args.has("scalar");
+  gate::require(cfg.rows >= cfg.cols && cfg.cols >= 2 && cfg.requests >= 24,
+                "--chaos needs rows >= cols >= 2 and requests >= 24");
+  const std::string oname = args.ordering("ordering");
+  const OrderingPtr ordering = make_ordering(oname);
   cfg.ordering = ordering.get();
 
   // Each leg runs twice: the pass/fail audits run on the first, and the
   // replay must reproduce the deterministic counter subset bit-for-bit.
-  std::vector<LegReport> legs;
+  gate::Report report;
+  std::vector<JsonObject> legs;
   bool replay_identical = true;
   const auto run_replayed = [&](auto&& leg_fn) {
     LegReport first = leg_fn(cfg);
-    LegReport second = leg_fn(cfg);
+    const LegReport second = leg_fn(cfg);
     if (!(ChaosCounters::from(first.stats) == ChaosCounters::from(second.stats))) {
       replay_identical = false;
-      first.fail("replay produced different counters: " + counters_json(first.stats) +
-                 " vs " + counters_json(second.stats));
+      first.fail("replay produced different counters: " + counters_json(first.stats).str() +
+                 " vs " + counters_json(second.stats).str());
     }
-    if (!second.ok) first.ok = false;
-    legs.push_back(std::move(first));
+    for (const std::string& e : first.errors) report.fail("chaos:" + first.name + ": " + e);
+    for (const std::string& e : second.errors)
+      report.fail("chaos:" + first.name + " (replay): " + e);
+    JsonObject leg;
+    leg.add("name", first.name)
+        .add("pass", first.ok && second.ok)
+        .add("errors", first.errors.size())
+        .add("counters", counters_json(first.stats));
+    legs.push_back(leg);
   };
   run_replayed(run_mixed_leg);
   run_replayed(run_overload_leg);
   run_replayed(run_quarantine_leg);
 
-  bool ok = replay_identical;
-  for (const LegReport& leg : legs) ok = ok && leg.ok;
-
-  std::ostringstream os;
-  os << "{\n  \"tool\": \"treesvd_serve\",\n  \"mode\": \"chaos\",\n  \"rows\": " << rows
-     << ",\n  \"cols\": " << cols << ",\n  \"ordering\": \"" << oname
-     << "\",\n  \"requests\": " << requests << ",\n  \"seed\": " << seed
-     << ",\n  \"simd\": " << (cfg.scalar ? "false" : "true") << ",\n  \"legs\": [";
-  for (std::size_t i = 0; i < legs.size(); ++i) {
-    const LegReport& leg = legs[i];
-    os << (i != 0 ? "," : "") << "\n    {\"name\": \"" << leg.name
-       << "\", \"pass\": " << (leg.ok ? "true" : "false")
-       << ", \"errors\": " << leg.errors.size() << ", \"counters\": " << counters_json(leg.stats)
-       << "}";
-  }
-  os << "\n  ],\n  \"replay_identical\": " << (replay_identical ? "true" : "false")
-     << ",\n  \"pass\": " << (ok ? "true" : "false") << "\n}\n";
-
-  const std::string path = cli.get("json", "");
-  if (path.empty()) {
-    std::cout << os.str();
-  } else {
-    std::ofstream f(path);
-    f << os.str();
-    if (!f) {
-      std::cerr << "treesvd_serve: cannot write " << path << "\n";
-      return 2;
-    }
-    std::cout << (ok ? "chaos pass" : "chaos FAIL") << ": " << legs.size()
-              << " legs replayed -> " << path << "\n";
-  }
-  return ok ? 0 : 1;
+  report.json.add("tool", "treesvd_serve")
+      .add("mode", "chaos")
+      .add("rows", cfg.rows)
+      .add("cols", cfg.cols)
+      .add("ordering", oname)
+      .add("requests", cfg.requests)
+      .add("seed", cfg.seed)
+      .add("simd", !cfg.scalar)
+      .add_array("legs", legs)
+      .add("replay_identical", replay_identical);
+  report.summary = std::to_string(legs.size()) + " serve-chaos legs, each replayed";
+  return report;
 }
 
-int run_serve(const Cli& cli) {
-  const auto rows = static_cast<std::size_t>(cli.get_int("rows", 32));
-  const auto cols = static_cast<std::size_t>(cli.get_int("cols", 16));
-  const auto shards = static_cast<std::size_t>(cli.get_int("shards", 2));
-  const auto lane_width = static_cast<std::size_t>(cli.get_int("lane-width", 8));
-  const auto queue_cap = static_cast<std::size_t>(cli.get_int("queue-cap", 64));
-  const auto requests = static_cast<std::size_t>(cli.get_int("requests", 512));
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 2026));
-  const auto verify = static_cast<std::size_t>(cli.get_int("verify", 32));
-  const std::string oname = cli.get("ordering", "round-robin");
-  if (rows < cols || cols < 2 || shards < 1 || requests < 1) {
-    std::cerr << "treesvd_serve: need rows >= cols >= 2, shards >= 1, requests >= 1\n";
-    return 2;
-  }
-
-  OrderingPtr ordering;
-  try {
-    ordering = make_ordering(oname);
-  } catch (const std::exception& e) {
-    std::cerr << "treesvd_serve: " << e.what() << "\n";
-    return 2;
-  }
+gate::Report run_serve(const gate::Args& args) {
+  const auto rows = static_cast<std::size_t>(args.integer("rows"));
+  const auto cols = static_cast<std::size_t>(args.integer("cols"));
+  const auto shards = static_cast<std::size_t>(args.integer("shards"));
+  const auto lane_width = static_cast<std::size_t>(args.integer("lane-width"));
+  const auto queue_cap = static_cast<std::size_t>(args.integer("queue-cap"));
+  const auto requests = static_cast<std::size_t>(args.integer("requests"));
+  const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
+  const auto verify = static_cast<std::size_t>(args.integer("verify"));
+  gate::require(rows >= cols && cols >= 2 && shards >= 1 && requests >= 1,
+                "need rows >= cols >= 2, shards >= 1, requests >= 1");
+  const std::string oname = args.ordering("ordering");
+  const OrderingPtr ordering = make_ordering(oname);
 
   ServeOptions opt;
   opt.rows = rows;
@@ -506,7 +480,7 @@ int run_serve(const Cli& cli) {
   opt.shards = shards;
   opt.queue_capacity = queue_cap;
   opt.batch.lane_width = lane_width;
-  opt.batch.use_simd = !cli.has("scalar");
+  opt.batch.use_simd = !args.has("scalar");
 
   // Canned trace: `requests` seeded Gaussian problems, generated up front so
   // the replay measures the server, not the generator.
@@ -516,13 +490,14 @@ int run_serve(const Cli& cli) {
   for (std::size_t i = 0; i < requests; ++i) inputs.push_back(random_gaussian(rows, cols, rng));
   std::vector<SvdResult> results(requests);
 
+  gate::Report report;
   SvdServer server(*ordering, opt);
   server.start();
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < requests; ++i) {
     if (!server.submit(inputs[i], &results[i])) {
-      std::cerr << "treesvd_serve: submit rejected at request " << i << "\n";
-      return 1;
+      report.fail("submit rejected at request " + std::to_string(i));
+      return report;
     }
   }
   server.wait_idle();
@@ -535,88 +510,64 @@ int run_serve(const Cli& cli) {
   // Verification gate: a deterministic sample of served results must be
   // bitwise the direct sequential solve (the engine's lane contract,
   // end-to-end through queueing and batching).
-  bool ok = true;
   const std::size_t nverify = std::min(verify, requests);
   const std::size_t stride = nverify == 0 ? 1 : std::max<std::size_t>(1, requests / nverify);
   std::size_t verified = 0;
   for (std::size_t i = 0; i < requests && verified < nverify; i += stride, ++verified) {
     const SvdResult ref = one_sided_jacobi(inputs[i], *ordering, opt.batch.jacobi);
-    if (result_digest(results[i]) != result_digest(ref)) {
-      std::cerr << "treesvd_serve: VERIFY FAIL request " << i
-                << " diverged from sequential solve\n";
-      ok = false;
-    }
+    if (result_digest(results[i]) != result_digest(ref))
+      report.fail("VERIFY FAIL request " + std::to_string(i) +
+                  " diverged from sequential solve");
   }
 
   const ServeStats stats = server.stats();
-  if (stats.completed != requests || stats.latency.count() != requests) {
-    std::cerr << "treesvd_serve: accounting mismatch: completed=" << stats.completed
-              << " latency_count=" << stats.latency.count() << " requests=" << requests << "\n";
-    ok = false;
-  }
-  if (stats.solved != requests || stats.expired != 0 || stats.failed != 0) {
-    std::cerr << "treesvd_serve: fault-free run saw faults: solved=" << stats.solved
-              << " expired=" << stats.expired << " failed=" << stats.failed << "\n";
-    ok = false;
-  }
-  if (stats.latency.p50_ns() > stats.latency.p99_ns()) {
-    std::cerr << "treesvd_serve: histogram insane: p50 > p99\n";
-    ok = false;
-  }
-  if (qps <= 0.0) {
-    std::cerr << "treesvd_serve: nonpositive throughput\n";
-    ok = false;
-  }
+  if (stats.completed != requests || stats.latency.count() != requests)
+    report.fail("accounting mismatch: completed=" + std::to_string(stats.completed) +
+                " latency_count=" + std::to_string(stats.latency.count()) +
+                " requests=" + std::to_string(requests));
+  if (stats.solved != requests || stats.expired != 0 || stats.failed != 0)
+    report.fail("fault-free run saw faults: solved=" + std::to_string(stats.solved) +
+                " expired=" + std::to_string(stats.expired) +
+                " failed=" + std::to_string(stats.failed));
+  if (stats.latency.p50_ns() > stats.latency.p99_ns())
+    report.fail("histogram insane: p50 > p99");
+  if (qps <= 0.0) report.fail("nonpositive throughput");
 
-  std::ostringstream os;
-  os << "{\n  \"tool\": \"treesvd_serve\",\n  \"rows\": " << rows << ",\n  \"cols\": " << cols
-     << ",\n  \"ordering\": \"" << oname << "\",\n  \"shards\": " << shards
-     << ",\n  \"lane_width\": " << lane_width << ",\n  \"queue_capacity\": " << queue_cap
-     << ",\n  \"simd\": " << (opt.batch.use_simd ? "true" : "false")
-     << ",\n  \"requests\": " << requests << ",\n  \"seed\": " << seed
-     << ",\n  \"elapsed_s\": " << elapsed_s << ",\n  \"qps\": " << qps
-     << ",\n  \"batches\": " << stats.batches << ",\n  \"mean_batch_fill\": "
-     << (stats.batches != 0
-             ? static_cast<double>(stats.batched_lanes) / static_cast<double>(stats.batches)
-             : 0.0)
-     << ",\n  \"counters\": " << counters_json(stats)
-     << ",\n  \"verified\": " << verified << ",\n  \"pass\": " << (ok ? "true" : "false")
-     << ",\n  \"latency\": " << histogram_json(stats.latency) << "\n}\n";
-
-  const std::string path = cli.get("json", "");
-  if (path.empty()) {
-    std::cout << os.str();
-  } else {
-    std::ofstream f(path);
-    f << os.str();
-    if (!f) {
-      std::cerr << "treesvd_serve: cannot write " << path << "\n";
-      return 2;
-    }
-    std::cout << (ok ? "pass" : "FAIL") << ": " << requests << " requests, qps=" << qps
-              << ", p50=" << stats.latency.p50_ns() << "ns, p99=" << stats.latency.p99_ns()
-              << "ns -> " << path << "\n";
-  }
-  return ok ? 0 : 1;
+  report.json.add("tool", "treesvd_serve")
+      .add("rows", rows)
+      .add("cols", cols)
+      .add("ordering", oname)
+      .add("shards", shards)
+      .add("lane_width", lane_width)
+      .add("queue_capacity", queue_cap)
+      .add("simd", opt.batch.use_simd)
+      .add("requests", requests)
+      .add("seed", seed)
+      .add("elapsed_s", elapsed_s)
+      .add("qps", qps)
+      .add("batches", stats.batches)
+      .add("mean_batch_fill", stats.batches != 0 ? static_cast<double>(stats.batched_lanes) /
+                                                       static_cast<double>(stats.batches)
+                                                 : 0.0)
+      .add("counters", counters_json(stats))
+      .add("verified", verified)
+      .add("latency", histogram_json(stats.latency));
+  report.summary = std::to_string(requests) + " requests, qps=" + std::to_string(qps) +
+                   ", p50=" + std::to_string(stats.latency.p50_ns()) +
+                   "ns, p99=" + std::to_string(stats.latency.p99_ns()) + "ns";
+  return report;
 }
 
-int main(int argc, const char* const* argv) {
-  const Cli cli(argc, argv);
-  if (cli.has("help")) {
-    std::cout << "usage: treesvd_serve [--rows=32] [--cols=16] [--ordering=round-robin]\n"
-                 "                     [--shards=2] [--lane-width=8] [--queue-cap=64]\n"
-                 "                     [--requests=512] [--seed=2026] [--verify=32]\n"
-                 "                     [--scalar] [--json=PATH]\n"
-                 "       treesvd_serve --chaos [--rows=12] [--cols=8]\n"
-                 "                     [--ordering=round-robin] [--requests=96]\n"
-                 "                     [--seed=2026] [--scalar] [--json=PATH]\n";
-    return 0;
-  }
-  if (cli.has("chaos")) return run_chaos(cli);
-  return run_serve(cli);
+gate::Report run(const gate::Args& args) {
+  return args.has("chaos") ? run_chaos(args) : run_serve(args);
 }
 
 }  // namespace
 }  // namespace treesvd::serve_tool
 
-int main(int argc, char** argv) { return treesvd::serve_tool::main(argc, argv); }
+int main(int argc, char** argv) {
+  return treesvd::gate::run("treesvd_serve",
+                            "Replays a seeded request trace through SvdServer and verifies served "
+                            "results bitwise;\n--chaos runs the deterministic serve-chaos gate.",
+                            treesvd::serve_tool::kFlags, argc, argv, treesvd::serve_tool::run);
+}

@@ -15,35 +15,24 @@
 //    reproduce the unequilibrated (kOff) run bit-for-bit: same sigma bits
 //    and the same sweep count — the scaling is exact powers of two.
 //
-// The per-run results are emitted as machine-readable JSON (stdout, or
-// --json=PATH); the exit status is the contract: 0 means every run honoured
-// it, 1 means at least one violation, 2 means usage error. CI archives the
-// JSON so quality metrics are diffable across commits.
-//
-// Usage:
-//   treesvd_torture [--n=8] [--rows=12] [--seed=2026] [--tol=1e-10]
-//                   [--max-sweeps=60] [--json=PATH]
+// CI archives the JSON report so quality metrics are diffable across
+// commits. Flags, report and exit codes follow the gate runner (gate.hpp).
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <fstream>
 #include <functional>
 #include <limits>
-#include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/registry.hpp"
+#include "gate.hpp"
 #include "linalg/generators.hpp"
-#include "report_json.hpp"
 #include "svd/block_jacobi.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/kogbetliantz.hpp"
 #include "svd/preconditioned.hpp"
 #include "svd/spmd.hpp"
-#include "util/cli.hpp"
 
 namespace treesvd::torture {
 namespace {
@@ -79,14 +68,6 @@ struct Engine {
   int unit_width = 1;
   Outcome (*run)(const Matrix&, const Ordering&, EquilibrateMode, int max_sweeps);
 };
-
-/// Mirrors the drivers' padding search: can `ord` schedule `units` work
-/// units, padded up to the drivers' shared 2*units+4 limit?
-bool schedulable(const Ordering& ord, int units) {
-  for (int w = units; w <= 2 * units + 4; ++w)
-    if (ord.supports(w)) return true;
-  return false;
-}
 
 JacobiOptions jacobi_options(EquilibrateMode mode, int max_sweeps) {
   JacobiOptions opt;
@@ -181,34 +162,33 @@ struct RunReport {
   bool equilibrated = false;
 };
 
-int main(int argc, const char* const* argv) {
-  const Cli cli(argc, argv);
-  if (cli.has("help")) {
-    std::cout << "usage: treesvd_torture [--n=8] [--rows=12] [--seed=2026] [--tol=1e-10]\n"
-                 "                       [--max-sweeps=60] [--json=PATH]\n";
-    return 0;
-  }
+constexpr gate::Flag kFlags[] = {
+    {"n", "8", "matrix columns (even, >= 4)"},
+    {"rows", "", "matrix rows (default n+4)"},
+    {"seed", "2026", "torture-suite seed"},
+    {"tol", "1e-10", "scaled sigma error bound on known-sigma cases"},
+    {"max-sweeps", "60", "sweep cap per solve"},
+    {"json", "", "write the report here instead of stdout"},
+};
 
-  const int n = static_cast<int>(cli.get_int("n", 8));
-  const int rows = static_cast<int>(cli.get_int("rows", n + 4));
-  const double tol = cli.get_double("tol", 1e-10);
-  const int max_sweeps = static_cast<int>(cli.get_int("max-sweeps", 60));
-  if (n < 4 || n % 2 != 0 || rows < n) {
-    std::cerr << "treesvd_torture: need even n >= 4 and rows >= n\n";
-    return 2;
-  }
+gate::Report run(const gate::Args& args) {
+  const int n = static_cast<int>(args.integer("n"));
+  const int rows = static_cast<int>(args.integer("rows", n + 4));
+  const double tol = args.real("tol");
+  const int max_sweeps = static_cast<int>(args.integer("max-sweeps"));
+  const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
+  gate::require(n >= 4 && n % 2 == 0 && rows >= n, "need even n >= 4 and rows >= n");
 
-  Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 2026)));
+  Rng rng(seed);
   const auto cases =
       torture_suite(static_cast<std::size_t>(rows), static_cast<std::size_t>(n), rng);
   // A second, square family for the two-sided engine (skipping any case the
   // construction leaves non-square).
-  Rng rng_sq(static_cast<std::uint64_t>(cli.get_int("seed", 2026)));
+  Rng rng_sq(seed);
   const auto square_cases =
       torture_suite(static_cast<std::size_t>(n), static_cast<std::size_t>(n), rng_sq);
 
   std::vector<RunReport> reports;
-  bool pass = true;
   for (const Engine& eng : engines()) {
     const auto& suite = eng.square_only ? square_cases : cases;
     for (const std::string& oname : ordering_names()) {
@@ -258,54 +238,48 @@ int main(int argc, const char* const* argv) {
           rep.detail = std::string("exception: ") + e.what();
         }
         rep.ok = rep.detail.empty();
-        pass = pass && rep.ok;
         reports.push_back(std::move(rep));
       }
     }
   }
 
-  std::ostringstream os;
-  os << "{\n  \"tool\": \"treesvd_torture\",\n  \"version\": 1,\n";
-  os << "  \"n\": " << n << ",\n  \"rows\": " << rows << ",\n  \"tol\": " << tol << ",\n";
-  os << "  \"pass\": " << (pass ? "true" : "false") << ",\n  \"runs\": [";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const RunReport& r = reports[i];
-    os << (i ? "," : "") << "\n    {\"case\": \"" << json_escape(r.kase) << "\", \"engine\": \""
-       << json_escape(r.engine) << "\", \"ordering\": \"" << json_escape(r.ordering)
-       << "\", \"ok\": " << (r.ok ? "true" : "false") << ", \"status\": \"" << r.status
-       << "\", \"converged\": " << (r.converged ? "true" : "false")
-       << ", \"sweeps\": " << r.sweeps << ", \"equilibrated\": "
-       << (r.equilibrated ? "true" : "false");
-    if (r.sigma_error >= 0.0) os << ", \"sigma_error\": " << r.sigma_error;
-    if (r.scaled_residual >= 0.0) os << ", \"scaled_residual\": " << r.scaled_residual;
-    if (!r.detail.empty()) os << ", \"detail\": \"" << json_escape(r.detail) << "\"";
-    os << "}";
-  }
-  os << "\n  ]\n}\n";
-
-  const std::string json = os.str();
-  const std::string path = cli.get("json", "");
-  if (path.empty()) {
-    std::cout << json;
-  } else {
-    std::ofstream f(path);
-    if (!f) {
-      std::cerr << "treesvd_torture: cannot write " << path << "\n";
-      return 2;
+  gate::Report report;
+  std::vector<JsonObject> runs;
+  for (const RunReport& r : reports) {
+    JsonObject o;
+    o.add("case", r.kase)
+        .add("engine", r.engine)
+        .add("ordering", r.ordering)
+        .add("ok", r.ok)
+        .add("status", r.status)
+        .add("converged", r.converged)
+        .add("sweeps", r.sweeps)
+        .add("equilibrated", r.equilibrated);
+    if (r.sigma_error >= 0.0) o.add("sigma_error", r.sigma_error);
+    if (r.scaled_residual >= 0.0) o.add("scaled_residual", r.scaled_residual);
+    if (!r.ok) {
+      o.add("detail", r.detail);
+      report.fail("violation: " + r.engine + " x " + r.ordering + " on " + r.kase + ": " +
+                  r.detail);
     }
-    f << json;
-    std::cout << (pass ? "PASS" : "FAIL") << ": " << reports.size()
-              << " engine x ordering x case torture runs, report written to " << path << "\n";
+    runs.push_back(o);
   }
-  if (!pass)
-    for (const RunReport& r : reports)
-      if (!r.ok)
-        std::cerr << "violation: " << r.engine << " x " << r.ordering << " on " << r.kase << ": "
-                  << r.detail << "\n";
-  return pass ? 0 : 1;
+  report.json.add("tool", "treesvd_torture")
+      .add("version", 1)
+      .add("n", n)
+      .add("rows", rows)
+      .add("tol", tol)
+      .add_array("runs", runs);
+  report.summary = std::to_string(runs.size()) + " engine x ordering x case torture runs";
+  return report;
 }
 
 }  // namespace
 }  // namespace treesvd::torture
 
-int main(int argc, char** argv) { return treesvd::torture::main(argc, argv); }
+int main(int argc, char** argv) {
+  return treesvd::gate::run("treesvd_torture",
+                            "Runs every engine x ordering over the torture-input family and "
+                            "enforces the\ngraceful-degradation contract.",
+                            treesvd::torture::kFlags, argc, argv, treesvd::torture::run);
+}
