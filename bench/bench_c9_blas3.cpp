@@ -31,6 +31,7 @@
 #include "linalg/gemm.hpp"
 #include "linalg/generators.hpp"
 #include "svd/block_jacobi.hpp"
+#include "svd/pair_kernel.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -116,11 +117,13 @@ void BM_InnerElementwise(benchmark::State& state) {
   const std::vector<int> cols = iota_cols(kw);
   BlockJacobiOptions opt;
   opt.cache_norms = false;
+  const JacobiOptions jo = detail::element_options(opt);
+  const detail::PairKernel kernel(jo);
   KernelCounters pc;
   for (auto _ : state) {
     restore_panel(h, panel);
     benchmark::DoNotOptimize(
-        detail::inner_orthogonalise_elementwise(h, nullptr, cols, opt, nullptr, &pc));
+        detail::inner_orthogonalise_elementwise(h, nullptr, cols, opt, kernel, nullptr, &pc));
   }
 }
 BENCHMARK(BM_InnerElementwise)
@@ -261,6 +264,8 @@ int run_json_mode(const std::string& path) {
       const std::vector<int> cols = iota_cols(kw);
       BlockJacobiOptions opt;
       opt.cache_norms = false;
+      const JacobiOptions jo = detail::element_options(opt);
+      const detail::PairKernel kernel(jo);
       KernelCounters counters;
       const int calls =
           static_cast<int>(std::max<std::size_t>(2, 100000000 / (m * kw * kw)));
@@ -268,7 +273,8 @@ int run_json_mode(const std::string& path) {
           [&] {
             restore_panel(h, panel);
             benchmark::DoNotOptimize(
-                detail::inner_orthogonalise_elementwise(h, nullptr, cols, opt, nullptr, &counters));
+                detail::inner_orthogonalise_elementwise(h, nullptr, cols, opt, kernel, nullptr,
+                                                        &counters));
           },
           calls);
       const double t_gram = time_per_call(

@@ -4,7 +4,6 @@
 //   ./ordering_explorer [--ordering=fat-tree] [--n=16] [--sweeps=2]
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 
 #include "treesvd.hpp"
 
@@ -24,10 +23,10 @@ int main(int argc, char** argv) {
   std::printf("ordering %s, n = %d (%d leaf processors), %d steps per sweep\n\n", name.c_str(), n,
               n / 2, ordering->steps(n));
 
-  std::vector<int> layout(static_cast<std::size_t>(n));
-  std::iota(layout.begin(), layout.end(), 0);
+  // Each sweep starts from the previous sweep's final layout.
+  SweepChain chain(*ordering, n);
   for (int k = 0; k < sweeps; ++k) {
-    const Sweep s = ordering->sweep_from(layout, k);
+    const Sweep s = chain.next();
     std::printf("sweep %d:\n", k + 1);
     for (int t = 0; t < s.steps(); ++t) {
       std::printf("  step %2d:", t + 1);
@@ -46,10 +45,9 @@ int main(int argc, char** argv) {
     std::printf("  layout after sweep:");
     for (int idx : fin) std::printf(" %d", idx + 1);
     std::printf("\n\n");
-    layout.assign(fin.begin(), fin.end());
   }
 
-  const bool restored = std::is_sorted(layout.begin(), layout.end());
+  const bool restored = std::is_sorted(chain.layout().begin(), chain.layout().end());
   std::printf("original order restored after %d sweep(s): %s\n", sweeps,
               restored ? "yes" : "no");
   return 0;

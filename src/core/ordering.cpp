@@ -1,6 +1,7 @@
 #include "core/ordering.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/require.hpp"
 
@@ -97,6 +98,22 @@ Sweep Ordering::sweep_from(std::span<const int> layout0, int sweep_index) const 
   for (auto& lay : c.layouts)
     for (auto& v : lay) v = layout0[static_cast<std::size_t>(v)];
   return Sweep(std::move(c.layouts), std::move(c.active));
+}
+
+SweepChain::SweepChain(const Ordering& ordering, int n)
+    : ordering_(&ordering), layout_(static_cast<std::size_t>(n)) {
+  std::iota(layout_.begin(), layout_.end(), 0);
+}
+
+SweepChain::SweepChain(const Ordering& ordering, std::vector<int> layout, int sweep_index)
+    : ordering_(&ordering), layout_(std::move(layout)), sweep_index_(sweep_index) {}
+
+Sweep SweepChain::next() {
+  Sweep s = ordering_->sweep_from(layout_, sweep_index_);
+  const auto fin = s.final_layout();
+  layout_.assign(fin.begin(), fin.end());
+  ++sweep_index_;
+  return s;
 }
 
 namespace {

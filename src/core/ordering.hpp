@@ -18,6 +18,7 @@
 // A valid Jacobi sweep pairs every one of the n(n-1)/2 index pairs exactly
 // once (validate.hpp checks this property for every ordering in the tests).
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -72,6 +73,21 @@ class StepPairs {
     return c;
   }
 
+  /// Calls f(i, j) with i < j for the pair on `leaf`, when it is active. The
+  /// drivers rotate column pairs in (smaller, larger) index order.
+  template <typename F>
+  void visit(int leaf, F&& f) const {
+    if (!active_at(leaf)) return;
+    const IndexPair p = at(leaf);
+    f(std::min(p.even, p.odd), std::max(p.even, p.odd));
+  }
+
+  /// visit() over every leaf, in leaf order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (int k = 0; k < leaves(); ++k) visit(k, f);
+  }
+
  private:
   std::span<const int> layout_;
   std::span<const std::uint8_t> active_;
@@ -111,6 +127,12 @@ class Sweep {
 
   /// Total number of active rotations in the sweep.
   std::size_t rotation_count() const;
+
+  /// StepPairs::for_each over every step, in step order.
+  template <typename F>
+  void for_each_pair(F&& f) const {
+    for (int t = 0; t < steps(); ++t) step_pairs(t).for_each(f);
+  }
 
  private:
   std::vector<std::vector<int>> layouts_;
@@ -155,6 +177,34 @@ class Ordering {
 };
 
 using OrderingPtr = std::shared_ptr<const Ordering>;
+
+/// The paper's chaining rule, stated once: sweep 0 starts from the identity
+/// layout and every later sweep from the final layout of the sweep before it,
+/// with the sweep index passed along (fat-tree restores index order after one
+/// sweep, the rings after two, Lee-Luk-Boley alternates forward/backward).
+/// Every driver, cost model and checker that runs more than one sweep draws
+/// its sweeps from a chain. The ordering must outlive the chain.
+class SweepChain {
+ public:
+  /// A chain from the identity layout of n indices.
+  SweepChain(const Ordering& ordering, int n);
+
+  /// A chain resumed at sweep `sweep_index` from its opening layout (a
+  /// checkpointed layout()).
+  SweepChain(const Ordering& ordering, std::vector<int> layout, int sweep_index);
+
+  /// The chain's next sweep; the chain advances to its final layout.
+  Sweep next();
+
+  /// Opening layout of the sweep next() returns: the identity before the
+  /// first sweep, afterwards the previous sweep's final layout.
+  std::span<const int> layout() const noexcept { return layout_; }
+
+ private:
+  const Ordering* ordering_;
+  std::vector<int> layout_;
+  int sweep_index_ = 0;
+};
 
 /// The padding window every driver uses: the smallest width in [n, 2n+4]
 /// that `ordering` supports (the gap is filled with zero columns, identity

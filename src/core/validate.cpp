@@ -39,14 +39,10 @@ SweepValidation validate_sweep(const Sweep& sweep) {
 }
 
 SweepValidation validate_sweep_sequence(const Ordering& ordering, int n, int sweeps) {
-  std::vector<int> layout(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) layout[static_cast<std::size_t>(i)] = i;
+  SweepChain chain(ordering, n);
   for (int k = 0; k < sweeps; ++k) {
-    const Sweep s = ordering.sweep_from(layout, k);
-    const SweepValidation v = validate_sweep(s);
+    const SweepValidation v = validate_sweep(chain.next());
     if (!v.valid) return {false, "sweep " + std::to_string(k) + ": " + v.error};
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
   }
   return {true, {}};
 }

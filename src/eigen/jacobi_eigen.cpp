@@ -159,33 +159,28 @@ EigenResult jacobi_symmetric_eigen(const Matrix& a, const Ordering& ordering,
                  : Matrix();
   Matrix* vp = options.compute_vectors ? &v : nullptr;
 
-  std::vector<int> layout(static_cast<std::size_t>(padded));
-  for (int i = 0; i < padded; ++i) layout[static_cast<std::size_t>(i)] = i;
-
   // Fixed threshold reference: the magnitude of the input (invariant under
   // the orthogonal similarity up to a factor of n).
   const double scale = std::max(work.max_abs(), 1e-300);
 
+  SweepChain chain(ordering, padded);
   EigenResult r;
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    const Sweep s = ordering.sweep_from(layout, sweep);
+    const Sweep s = chain.next();
     std::size_t sweep_rot = 0;
     std::size_t sweep_swap = 0;
     for (int t = 0; t < s.steps(); ++t) {
       std::vector<StagedRotation> staged;
-      for (const IndexPair& p : s.pairs(t)) {
+      s.step_pairs(t).for_each([&](int i, int j) {
         StagedRotation sr{};
-        if (plan_rotation(work, std::min(p.even, p.odd), std::max(p.even, p.odd), scale, options,
-                          &sr)) {
+        if (plan_rotation(work, i, j, scale, options, &sr)) {
           staged.push_back(sr);
           sweep_rot += (sr.c != 1.0 || sr.s != 0.0) ? 1 : 0;
           sweep_swap += sr.swap ? 1 : 0;
         }
-      }
+      });
       apply_step(work, vp, staged);
     }
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
     r.rotations += sweep_rot;
     r.swaps += sweep_swap;
     r.sweeps = sweep + 1;

@@ -871,7 +871,8 @@ struct ChildMon {
   std::vector<std::uint8_t> buf;
   bool ctl_open = true;
   bool exited = false;
-  bool finished_sent = false;  ///< kFinished broadcast done for this rank
+  int wait_status = 0;         ///< waitpid status, valid once exited
+  bool finished_sent = false;  ///< exit classified and kFinished broadcast
   // Terminal records, in launcher-priority order.
   bool killed_frame = false;   ///< planned kill: kKilled arrived
   std::uint64_t kill_op = 0;
@@ -1075,12 +1076,18 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
     const auto now = Clock::now();
     for (int r = 0; r < n; ++r) {
       ChildMon& m = mon[static_cast<std::size_t>(r)];
-      if (m.exited) continue;
-      int status = 0;
-      const pid_t got = ::waitpid(static_cast<pid_t>(m.pid), &status, WNOHANG);
-      if (got == static_cast<pid_t>(m.pid)) {
+      if (!m.exited && ::waitpid(static_cast<pid_t>(m.pid), &m.wait_status, WNOHANG) ==
+                           static_cast<pid_t>(m.pid)) {
         m.exited = true;
         pids_[static_cast<std::size_t>(r)].store(0, std::memory_order_release);
+      }
+      if (m.exited) {
+        // Classify only once the control stream hit EOF: a reaped rank's
+        // kKilled/kError frames may still sit unread in the socket buffer,
+        // and the exit status alone cannot tell a reported failure (or a
+        // WorldAbortedError unwinding) from an unexplained one.
+        if (m.ctl_open || m.finished_sent) continue;
+        const int status = m.wait_status;
         if (WIFSIGNALED(status) && !m.killed_frame && !m.external) {
           m.external = true;
           m.ext_sig = WTERMSIG(status);

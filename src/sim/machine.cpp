@@ -48,16 +48,13 @@ ModeledRun model_run(const Ordering& ordering, const FatTreeTopology& topo, int 
                      const CostParams& params, int sweeps) {
   TREESVD_REQUIRE(ordering.supports(n), "ordering does not support n");
   TREESVD_REQUIRE(n / 2 == topo.leaves(), "topology must have n/2 leaves");
-  std::vector<int> layout(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) layout[static_cast<std::size_t>(i)] = i;
-
+  SweepChain chain(ordering, n);
   ModeledRun run;
   run.per_sweep_total.transitions_using_level.assign(
       static_cast<std::size_t>(topo.levels()) + 1, 0);
   run.per_sweep_total.words_per_level.assign(static_cast<std::size_t>(topo.levels()) + 1, 0.0);
   for (int k = 0; k < sweeps; ++k) {
-    const Sweep s = ordering.sweep_from(layout, k);
-    const SweepCost c = analyze_sweep(s, topo, params);
+    const SweepCost c = analyze_sweep(chain.next(), topo, params);
     run.per_sweep_total.total_time += c.total_time;
     run.per_sweep_total.compute_time += c.compute_time;
     run.per_sweep_total.comm_time += c.comm_time;
@@ -71,8 +68,6 @@ ModeledRun model_run(const Ordering& ordering, const FatTreeTopology& topo, int 
       run.per_sweep_total.transitions_using_level[l] += c.transitions_using_level[l];
       run.per_sweep_total.words_per_level[l] += c.words_per_level[l];
     }
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
     run.sweeps = k + 1;
   }
   return run;

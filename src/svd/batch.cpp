@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -100,28 +99,12 @@ BatchedSvd::BatchedSvd(std::size_t rows, std::size_t cols, const Ordering& order
 
   // The sweep schedule is data-independent — orderings are position
   // procedures, and the layout evolution depends only on the previous
-  // layout and the sweep index — so the whole run's schedule is computed
-  // once here and shared read-only by every lane, shard and solve.
-  std::vector<int> layout(static_cast<std::size_t>(padded_n_));
-  std::iota(layout.begin(), layout.end(), 0);
-  schedule_.reserve(static_cast<std::size_t>(std::max(0, options_.jacobi.max_sweeps)));
-  flat_pairs_.reserve(static_cast<std::size_t>(std::max(0, options_.jacobi.max_sweeps)));
-  for (int k = 0; k < options_.jacobi.max_sweeps; ++k) {
-    schedule_.push_back(ordering.sweep_from(layout, k));
-    const auto fin = schedule_.back().final_layout();
-    layout.assign(fin.begin(), fin.end());
-    const Sweep& s = schedule_.back();
-    std::vector<std::pair<int, int>> flat;
-    for (int t = 0; t < s.steps(); ++t) {
-      const StepPairs pairs = s.step_pairs(t);
-      for (int kk = 0; kk < pairs.leaves(); ++kk) {
-        if (!pairs.active_at(kk)) continue;
-        const IndexPair p = pairs.at(kk);
-        flat.emplace_back(std::min(p.even, p.odd), std::max(p.even, p.odd));
-      }
-    }
-    flat_pairs_.push_back(std::move(flat));
-  }
+  // layout and the sweep index — so the whole run's schedule is drawn from
+  // one sweep chain here and shared read-only by every lane, shard and solve.
+  SweepChain chain(ordering, padded_n_);
+  flat_pairs_.resize(static_cast<std::size_t>(std::max(0, options_.jacobi.max_sweeps)));
+  for (auto& flat : flat_pairs_)
+    chain.next().for_each_pair([&](int i, int j) { flat.emplace_back(i, j); });
 }
 
 BatchedSvd::~BatchedSvd() = default;

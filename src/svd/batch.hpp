@@ -134,12 +134,10 @@ class BatchedSvd {
   int padded_n_ = 0;
   BatchedSvdOptions options_;
   std::string ordering_name_;
-  /// Precomputed shared schedule: schedule_[k] is sweep k's pair sequence
-  /// (with the layout evolution already folded in).
-  std::vector<Sweep> schedule_;
-  /// The same schedule flattened to (min, max) column pairs, one vector per
-  /// sweep. Iterating this instead of the Sweep/StepPairs accessors lets the
-  /// hot loop look one pair ahead and prefetch its columns.
+  /// Precomputed shared schedule: flat_pairs_[k] is sweep k's pair sequence
+  /// (with the layout evolution already folded in), flattened to
+  /// (min, max) column pairs. Iterating this instead of the Sweep/StepPairs
+  /// accessors lets the hot loop look one pair ahead and prefetch its columns.
   std::vector<std::vector<std::pair<int, int>>> flat_pairs_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

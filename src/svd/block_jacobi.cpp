@@ -1,6 +1,7 @@
 #include "svd/block_jacobi.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include "linalg/blas1.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/rotation.hpp"
+#include "svd/driver_detail.hpp"
 #include "svd/equilibrate.hpp"
 #include "svd/pair_kernel.hpp"
 #include "svd/recovery.hpp"
@@ -20,69 +22,70 @@ namespace {
 
 /// Level-2 recursion: the sequence of local pair visits of one encounter's
 /// inner passes. With an inner_ordering name the registered ordering is
-/// reused recursively over the 2b *local* positions — the local layout
-/// chains across the encounter's inner sweeps via final_layout(), exactly as
-/// the outer driver chains block layouts — and each step's pairs are
-/// disjoint (checked by treesvd_lint's inner-recursion rule). Empty name, or
-/// an ordering that does not support 2b, falls back to the historical serial
-/// cyclic pass.
+/// reused recursively over the 2b *local* positions — one SweepChain per
+/// encounter, so the local layout chains across the encounter's inner sweeps
+/// exactly as the outer driver chains block layouts — and each step's pairs
+/// are disjoint (checked by treesvd_lint's inner-recursion rule). Empty name,
+/// or an ordering that does not support 2b, falls back to the historical
+/// serial cyclic pass.
 class InnerSchedule {
  public:
-  InnerSchedule(const std::string& name, std::size_t kw) {
+  InnerSchedule(const std::string& name, std::size_t kw) : kw_(kw) {
     if (name.empty()) return;
     OrderingPtr ord = make_ordering(name);  // throws for unknown names
     if (!ord->supports(static_cast<int>(kw))) return;
     ord_ = std::move(ord);
-    layout_.resize(kw);
-    for (std::size_t i = 0; i < kw; ++i) layout_[i] = static_cast<int>(i);
+    chain_.emplace(*ord_, static_cast<int>(kw));
   }
 
-  /// Runs one inner pass, invoking f(a, b) with local positions a < b.
+  /// Runs the next inner pass, invoking f(a, b) with local positions a < b.
   template <typename F>
-  void pass(std::size_t kw, int sweep, F&& f) {
-    if (ord_ == nullptr) {
-      for (std::size_t a = 0; a < kw; ++a)
-        for (std::size_t b = a + 1; b < kw; ++b) f(a, b);
+  void pass(F&& f) {
+    if (!chain_) {
+      for (std::size_t a = 0; a < kw_; ++a)
+        for (std::size_t b = a + 1; b < kw_; ++b) f(a, b);
       return;
     }
-    const Sweep s = ord_->sweep_from(layout_, sweep);
-    for (int t = 0; t < s.steps(); ++t) {
-      const StepPairs pairs = s.step_pairs(t);
-      for (int k = 0; k < pairs.leaves(); ++k) {
-        if (!pairs.active_at(k)) continue;
-        const IndexPair p = pairs.at(k);
-        f(static_cast<std::size_t>(std::min(p.even, p.odd)),
-          static_cast<std::size_t>(std::max(p.even, p.odd)));
-      }
-    }
-    const auto fin = s.final_layout();
-    layout_.assign(fin.begin(), fin.end());
+    chain_->next().for_each_pair(
+        [&](int a, int b) { f(static_cast<std::size_t>(a), static_cast<std::size_t>(b)); });
   }
 
  private:
+  std::size_t kw_;
   OrderingPtr ord_;
-  std::vector<int> layout_;
+  std::optional<SweepChain> chain_;
 };
 
 }  // namespace
 
+JacobiOptions element_options(const BlockJacobiOptions& opt) {
+  JacobiOptions j;
+  j.tol = opt.tol;
+  j.max_sweeps = opt.max_outer_sweeps;
+  j.sort = opt.sort;
+  j.compute_v = opt.compute_v;
+  j.rank_tol = opt.rank_tol;
+  j.cache_norms = opt.cache_norms;
+  j.norm_recompute_sweeps = opt.norm_recompute_sweeps;
+  j.equilibrate = opt.equilibrate;
+  j.watchdog_sweeps = opt.watchdog_sweeps;
+  j.stall_window = opt.stall_window;
+  j.full_diagnostics = opt.full_diagnostics;
+  j.force_isa = opt.force_isa;
+  return j;
+}
+
 InnerPanelStats inner_orthogonalise_elementwise(Matrix& h, Matrix* v,
                                                 const std::vector<int>& cols,
-                                                const BlockJacobiOptions& opt, NormCache* cache,
+                                                const BlockJacobiOptions& opt,
+                                                const PairKernel& kernel, NormCache* cache,
                                                 KernelCounters* plain_counters) {
-  JacobiOptions jopt;
-  jopt.tol = opt.tol;
-  jopt.sort = opt.sort;
-  jopt.cache_norms = opt.cache_norms;
-  // Level 0 bound once per encounter: every inner rotation of this panel
-  // resolves through the same dispatch table.
-  const PairKernel kernel(jopt);
   InnerSchedule schedule(opt.inner_ordering, cols.size());
   InnerPanelStats stats;
   for (int sweep = 0; sweep < opt.inner_sweeps; ++sweep) {
     std::size_t pass_rot = 0;
     std::size_t pass_swap = 0;
-    schedule.pass(cols.size(), sweep, [&](std::size_t a, std::size_t b) {
+    schedule.pass([&](std::size_t a, std::size_t b) {
       const int i = std::min(cols[a], cols[b]);
       const int j = std::max(cols[a], cols[b]);
       const auto o = cache != nullptr ? kernel.process_cached(h, v, i, j, *cache)
@@ -153,7 +156,7 @@ InnerPanelStats inner_orthogonalise_gram(Matrix& h, Matrix* v, const std::vector
   for (int sweep = 0; sweep < opt.inner_sweeps; ++sweep) {
     std::size_t pass_rot = 0;
     std::size_t pass_swap = 0;
-    schedule.pass(kw, sweep, [&](std::size_t a, std::size_t b) {
+    schedule.pass([&](std::size_t a, std::size_t b) {
       const GramPair gp{g(a, a), g(b, b), g(a, b)};
       const JacobiRotation rot = compute_rotation(gp, opt.tol);
       const bool want_swap = opt.sort == SortMode::kDescending && gp.app < gp.aqq;
@@ -207,7 +210,11 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   // in the middle of the first encounter).
   if (!options.inner_ordering.empty()) make_ordering(options.inner_ordering);
   const ScopedIsaOverride isa_guard(options.force_isa);
-  const IsaTier isa_tier = kernels().tier;
+  // Built once per solve: the guards, the refresh cadence and finalize read
+  // these options, and the elementwise inner solver's one PairKernel is bound
+  // to them.
+  const JacobiOptions jopt = detail::element_options(options);
+  const detail::PairKernel kernel(jopt);
 
   const int n = static_cast<int>(a.cols());
   const int b = options.block_width;
@@ -216,117 +223,34 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   // the matrix is padded with zero columns to nb * b.
   const int nb = padded_width(ordering, (n + b - 1) / b, "block count",
                               "n=" + std::to_string(n) + ", block_width=" + std::to_string(b));
-  const int padded_n = nb * b;
-
-  Matrix h(a.rows(), static_cast<std::size_t>(padded_n));
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    const auto src = a.col(j);
-    const auto dst = h.col(j);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  const Equilibration eq = equilibrate(h, options.equilibrate);
-  StallDetector stall(options.stall_window);
-  ConvergenceWatchdog watchdog(options.watchdog_sweeps);
-  std::size_t watchdog_trips = 0;
-  Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
-  Matrix* vp = options.compute_v ? &v : nullptr;
-
-  // Block k owns global columns [k*b, (k+1)*b).
-  auto block_cols = [&](int blk) {
-    std::vector<int> cols(static_cast<std::size_t>(b));
-    for (int i = 0; i < b; ++i) cols[static_cast<std::size_t>(i)] = blk * b + i;
-    return cols;
-  };
-
-  std::vector<int> layout(static_cast<std::size_t>(nb));
-  for (int i = 0; i < nb; ++i) layout[static_cast<std::size_t>(i)] = i;
-
-  NormCache cache;
-  if (options.cache_norms) cache.refresh(h);
-  KernelCounters plain_counters;
-  NormCache* cp = options.cache_norms ? &cache : nullptr;
-  KernelCounters& counters = options.cache_norms ? cache.counters() : plain_counters;
+  detail::SweepState st(detail::pad_columns(a, nb * b), jopt);
+  NormCache* cp = options.cache_norms ? &st.cache : nullptr;
+  KernelCounters& counters = cp != nullptr ? st.cache.counters() : st.plain_counters;
   const bool gram_mode = options.inner_mode == InnerMode::kGram;
   ThreadPool* pool = gram_mode ? gemm_pool() : nullptr;
 
-  SvdResult r;
-  for (int sweep = 0; sweep < options.max_outer_sweeps; ++sweep) {
-    if (cp != nullptr && sweep > 0 && options.norm_recompute_sweeps > 0 &&
-        sweep % options.norm_recompute_sweeps == 0)
-      cache.refresh(h);
-    const Sweep s = ordering.sweep_from(layout, sweep);
-    std::size_t sweep_rot = 0;
-    std::size_t sweep_swap = 0;
-    for (int t = 0; t < s.steps(); ++t) {
-      const StepPairs pairs = s.step_pairs(t);
-      for (int k = 0; k < pairs.leaves(); ++k) {
-        if (!pairs.active_at(k)) continue;
-        const IndexPair p = pairs.at(k);
-        std::vector<int> cols = block_cols(std::min(p.even, p.odd));
-        const std::vector<int> other = block_cols(std::max(p.even, p.odd));
-        cols.insert(cols.end(), other.begin(), other.end());
-        const detail::InnerPanelStats stats =
-            gram_mode
-                ? detail::inner_orthogonalise_gram(h, vp, cols, options, cp, counters, pool)
-                : detail::inner_orthogonalise_elementwise(h, vp, cols, options, cp,
-                                                          &plain_counters);
-        sweep_rot += stats.rotations;
-        sweep_swap += stats.swaps;
+  // The outer ordering drives blocks; block k owns global columns
+  // [k*b, (k+1)*b), and a met pair's panel lists both blocks' columns.
+  SweepChain chain(ordering, nb);
+  std::vector<int> cols(2 * static_cast<std::size_t>(b));
+  const auto run_sweep = [&](int) {
+    detail::SweepTally tally;
+    chain.next().for_each_pair([&](int lo, int hi) {
+      for (int i = 0; i < b; ++i) {
+        cols[static_cast<std::size_t>(i)] = lo * b + i;
+        cols[static_cast<std::size_t>(b + i)] = hi * b + i;
       }
-    }
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
-    r.rotations += sweep_rot;
-    r.swaps += sweep_swap;
-    r.sweeps = sweep + 1;
-    if (sweep_rot == 0 && sweep_swap == 0) {
-      r.converged = true;
-      break;
-    }
-    const double activity = static_cast<double>(sweep_rot + sweep_swap);
-    stall.observe(activity);
-    if (watchdog.observe(activity)) {
-      if (options.cache_norms) cache.refresh(h);
-      ++watchdog_trips;
-      watchdog.reset();
-    }
-  }
-
-  r.kernel_stats =
-      options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
-  r.kernel_stats.isa_tier = static_cast<int>(isa_tier);
-
-  // Finalisation mirrors the element-wise engine (at the equilibrated scale;
-  // the common 2^e factor cancels in the U division and sigma is unscaled
-  // exactly afterwards).
-  r.sigma.resize(a.cols());
-  for (std::size_t j = 0; j < a.cols(); ++j) r.sigma[j] = nrm2(h.col(j));
-  const double smax = *std::max_element(r.sigma.begin(), r.sigma.end());
-  r.u = Matrix(a.rows(), a.cols());
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    if (r.sigma[j] > options.rank_tol * smax && r.sigma[j] > 0.0)
-      copy_div(h.col(j), r.sigma[j], r.u.col(j));
-  }
-  if (options.compute_v) {
-    r.v = Matrix(a.cols(), a.cols());
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      const auto src = v.col(j);
-      const auto dst = r.v.col(j);
-      std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(a.cols()), dst.begin());
-    }
-  }
-  unscale_sigma(r.sigma, eq);
-
-  r.status = r.converged ? SvdStatus::kConverged
-                         : (stall.stalled() ? SvdStatus::kStalled : SvdStatus::kMaxSweeps);
-  r.diagnostics.input_scale = eq.stats;
-  r.diagnostics.equilibrated = eq.applied;
-  r.diagnostics.equilibration_exponent = eq.exponent;
-  r.diagnostics.watchdog_trips = watchdog_trips;
-  r.diagnostics.stalled_sweeps = stall.streak();
-  if (!r.converged || options.full_diagnostics)
-    assess_quality(a, r, eq.exponent, options.rank_tol);
-  return r;
+      const detail::InnerPanelStats stats =
+          gram_mode ? detail::inner_orthogonalise_gram(st.h, st.vp(), cols, options, cp, counters,
+                                                       pool)
+                    : detail::inner_orthogonalise_elementwise(st.h, st.vp(), cols, options,
+                                                              kernel, cp, &st.plain_counters);
+      tally.rotations += stats.rotations;
+      tally.swaps += stats.swaps;
+    });
+    return tally;
+  };
+  return detail::sweep_loop(a, st, jopt, kernel.tier(), nullptr, run_sweep);
 }
 
 }  // namespace treesvd

@@ -95,12 +95,21 @@ struct InnerPanelStats {
   std::size_t swaps = 0;
 };
 
+class PairKernel;
+
+/// The element-level options a block solve runs under, built once per solve:
+/// the block options' tolerances, sort rule, cache cadence, guards and
+/// diagnostics, with max_sweeps = max_outer_sweeps.
+JacobiOptions element_options(const BlockJacobiOptions& opt);
+
 /// Elementwise inner pass: mutually orthogonalise the columns listed in
 /// `cols` (global column ids of h/v) with plain cyclic one-sided Jacobi,
-/// sort rule included. This is the pre-BLAS-3 code path, unchanged.
+/// sort rule included, rotating through `kernel` (bound to
+/// element_options(opt)). This is the pre-BLAS-3 code path, unchanged.
 InnerPanelStats inner_orthogonalise_elementwise(Matrix& h, Matrix* v,
                                                 const std::vector<int>& cols,
-                                                const BlockJacobiOptions& opt, NormCache* cache,
+                                                const BlockJacobiOptions& opt,
+                                                const PairKernel& kernel, NormCache* cache,
                                                 KernelCounters* plain_counters);
 
 /// Gram inner pass: one Gram build, cyclic Jacobi sweeps on the small

@@ -1,13 +1,20 @@
 #pragma once
-// Shared internals of the one-sided Jacobi drivers.
+// Shared internals of the one-sided Jacobi engines.
 //
-// The serial/threaded/cyclic drivers (jacobi.cpp) and the batched many-SVD
-// engine (batch.cpp) must agree bit-for-bit on everything outside the sweep
-// loop: column padding, the per-run robustness guards, the scheduled cache
-// refresh cadence, and the finalisation that turns the rotated working
-// matrix into (U, sigma, V) plus the status contract. Keeping one definition
-// here is what makes "batched lane b == sequential run b" a structural
-// property instead of a maintenance promise.
+// Every one-sided engine runs the same sweep cadence and ends in the same
+// finalize:
+//  * the serial, threaded and cyclic drivers (jacobi.cpp) and the block
+//    driver (block_jacobi.cpp) run their sweeps through sweep_loop below;
+//  * the batched many-SVD engine (batch.cpp) replays the cadence lane by
+//    lane with one SweepGuards per lane;
+//  * the SPMD engine (spmd.cpp) replicates it on every rank and gathers the
+//    ranks' columns into one finalize.
+// They must agree bit-for-bit on everything outside the pair work: column
+// padding, the per-run robustness guards, the scheduled cache refresh
+// cadence, and the finalisation that turns the rotated working matrix into
+// (U, sigma, V) plus the status contract. Keeping one definition here is what
+// makes "batched lane b == sequential run b == SPMD run" a structural property
+// instead of a maintenance promise.
 
 #include <algorithm>
 #include <string>
@@ -15,6 +22,7 @@
 
 #include "core/ordering.hpp"
 #include "linalg/blas1.hpp"
+#include "linalg/dispatch.hpp"
 #include "linalg/matrix.hpp"
 #include "svd/equilibrate.hpp"
 #include "svd/jacobi.hpp"
@@ -24,13 +32,12 @@
 
 namespace treesvd::detail {
 
-/// Pads A with zero columns to the nearest width the ordering supports.
-inline Matrix pad_columns(const Matrix& a, const Ordering& ordering, int* padded_n) {
-  const int n = static_cast<int>(a.cols());
-  const int w = padded_width(ordering, n);
-  *padded_n = w;
-  if (w == n) return a;
-  Matrix p(a.rows(), static_cast<std::size_t>(w));
+/// Pads A with zero columns to `width` (padded_width for the element-wise
+/// engines, a whole number of blocks for the block engine).
+inline Matrix pad_columns(const Matrix& a, int width) {
+  const auto w = static_cast<std::size_t>(width);
+  if (w == a.cols()) return a;
+  Matrix p(a.rows(), w);
   for (std::size_t j = 0; j < a.cols(); ++j) {
     const auto src = a.col(j);
     const auto dst = p.col(j);
@@ -114,6 +121,60 @@ inline void maybe_refresh(NormCache* cache, const Matrix& h, int sweep,
                           const JacobiOptions& opt) {
   if (cache == nullptr || cache->empty()) return;
   if (scheduled_refresh_due(sweep, opt)) cache->refresh(h);
+}
+
+/// One sweep's activity: rotations above the threshold and sort swaps.
+struct SweepTally {
+  std::size_t rotations = 0;
+  std::size_t swaps = 0;
+};
+
+/// A one-sided solve's working state: the padded working matrix H
+/// (equilibrated on construction), the accumulated V, the norm cache, the
+/// counters the uncached kernels tick, and the guards.
+struct SweepState {
+  SweepState(Matrix padded, const JacobiOptions& opt) : h(std::move(padded)), guards(opt) {
+    guards.eq = equilibrate(h, opt.equilibrate);
+    if (opt.compute_v) v = Matrix::identity(h.cols());
+    if (opt.cache_norms) cache.refresh(h);
+  }
+
+  Matrix* vp() noexcept { return v.empty() ? nullptr : &v; }
+
+  Matrix h;
+  Matrix v;
+  NormCache cache;
+  KernelCounters plain_counters;
+  SweepGuards guards;
+};
+
+/// The sweep loop: per sweep the scheduled cache refresh, the sweep itself,
+/// the counters, the optional off(AᵀA) trace (over `pool` when non-null),
+/// convergence on a sweep that neither rotates nor swaps, and the guards,
+/// whose watchdog trip re-reduces the cache; then finalize.
+/// `run_sweep(sweep)` performs one sweep on `st` and returns its SweepTally.
+template <typename RunSweep>
+SvdResult sweep_loop(const Matrix& a, SweepState& st, const JacobiOptions& opt, IsaTier tier,
+                     ThreadPool* pool, RunSweep&& run_sweep) {
+  NormCache* cache = opt.cache_norms ? &st.cache : nullptr;
+  SvdResult r;
+  for (int sweep = 0; sweep < opt.max_sweeps; ++sweep) {
+    maybe_refresh(cache, st.h, sweep, opt);
+    const SweepTally t = run_sweep(sweep);
+    r.rotations += t.rotations;
+    r.swaps += t.swaps;
+    r.sweeps = sweep + 1;
+    if (opt.track_off) r.off_history.push_back(off_diagonal_measure(st.h, pool, cache));
+    if (t.rotations == 0 && t.swaps == 0) {
+      r.converged = true;
+      break;
+    }
+    if (st.guards.observe(static_cast<double>(t.rotations + t.swaps)) && cache != nullptr)
+      cache->refresh(st.h);
+  }
+  r.kernel_stats = cache != nullptr ? cache->counters().snapshot() : st.plain_counters.snapshot();
+  r.kernel_stats.isa_tier = static_cast<int>(tier);
+  return finalize(std::move(st.h), std::move(st.v), a, opt, st.guards, std::move(r));
 }
 
 }  // namespace treesvd::detail

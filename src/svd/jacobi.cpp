@@ -1,17 +1,17 @@
 #include "svd/jacobi.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/hooks.hpp"
 #include "util/thread_pool.hpp"
 
 #include "linalg/blas1.hpp"
-#include "linalg/rotation.hpp"
 #include "svd/driver_detail.hpp"
-#include "svd/equilibrate.hpp"
 #include "svd/pair_kernel.hpp"
 #include "svd/recovery.hpp"
 #include "util/require.hpp"
@@ -21,14 +21,74 @@ namespace {
 
 using detail::PairKernel;
 using detail::PairOutcome;
+using detail::SweepState;
+using detail::SweepTally;
 
-// Padding, the per-run robustness guards (SweepGuards), finalisation and the
-// scheduled cache-refresh cadence live in svd/driver_detail.hpp, shared
-// bit-for-bit with the batched engine (svd/batch.cpp).
-using detail::finalize;
-using detail::maybe_refresh;
-using detail::pad_columns;
-using detail::SweepGuards;
+/// The element-wise sweep loop behind one_sided_jacobi,
+/// one_sided_jacobi_threaded and cyclic_jacobi. They differ in two things
+/// only: where a sweep's pairs come from (the ordering's sweep chain over the
+/// padded columns, or row-cyclic over the unpadded columns when `ordering` is
+/// null), and how a step runs (inline, or over `pool` at options.grain).
+/// Padding, guards, the refresh cadence and finalisation are shared with the
+/// block and batched engines (svd/driver_detail.hpp).
+SvdResult elementwise_jacobi(const Matrix& a, const Ordering* ordering, ThreadPool* pool,
+                             const JacobiOptions& options, const char* who) {
+  TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2,
+                  std::string(who) + " expects m >= n >= 2");
+  require_finite_columns(a, who);
+  // Level 0 of the engine hierarchy: one PairKernel, bound once to the
+  // resolved dispatch table (after the per-solve tier override), drives every
+  // pair of the run.
+  const ScopedIsaOverride isa_guard(options.force_isa);
+  const PairKernel kernel(options);
+  const int n = ordering != nullptr ? padded_width(*ordering, static_cast<int>(a.cols()))
+                                    : static_cast<int>(a.cols());
+  SweepState st(detail::pad_columns(a, n), options);
+  std::optional<SweepChain> chain;
+  if (ordering != nullptr) chain.emplace(*ordering, n);
+  // Threaded steps write each leaf's outcome to its own slot and tally after
+  // the join, so no path counts through atomics.
+  std::vector<PairOutcome> outcomes(pool != nullptr ? static_cast<std::size_t>(n / 2) : 0);
+
+  const auto rotate = [&](int i, int j) {
+    return options.cache_norms ? kernel.process_cached(st.h, st.vp(), i, j, st.cache)
+                               : kernel.process(st.h, st.vp(), i, j, &st.plain_counters);
+  };
+  const auto run_sweep = [&]([[maybe_unused]] int sweep) {
+    SweepTally tally;
+    const auto count = [&](PairOutcome o) {
+      tally.rotations += o.rotated ? 1 : 0;
+      tally.swaps += o.swapped ? 1 : 0;
+    };
+    const auto rotate_inline = [&](int i, int j) { count(rotate(i, j)); };
+    if (!chain) {
+      for (int i = 0; i < n - 1; ++i)
+        for (int j = i + 1; j < n; ++j) rotate_inline(i, j);
+      return tally;
+    }
+    const Sweep s = chain->next();
+    TREESVD_HB_SCOPED_FRAME(sweep_frame, [&] { return "sweep " + std::to_string(sweep); });
+    for (int t = 0; t < s.steps(); ++t) {
+      // The non-allocating view is shared read-only across the pool; tasks
+      // are indexed by leaf, so the step's pair list is never copied.
+      const StepPairs pairs = s.step_pairs(t);
+      if (pool == nullptr) {
+        pairs.for_each(rotate_inline);
+        continue;
+      }
+      TREESVD_HB_SCOPED_FRAME(step_frame, [&] { return "step " + std::to_string(t); });
+      pool->parallel_for(
+          outcomes.size(),
+          [&](std::size_t k) {
+            pairs.visit(static_cast<int>(k), [&](int i, int j) { outcomes[k] = rotate(i, j); });
+          },
+          options.grain);
+      for (PairOutcome& o : outcomes) count(std::exchange(o, PairOutcome{}));
+    }
+    return tally;
+  };
+  return detail::sweep_loop(a, st, options, kernel.tier(), pool, run_sweep);
+}
 
 }  // namespace
 
@@ -80,188 +140,17 @@ double off_diagonal_measure(const Matrix& a, ThreadPool* pool, const NormCache* 
 
 SvdResult one_sided_jacobi(const Matrix& a, const Ordering& ordering,
                            const JacobiOptions& options) {
-  TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2,
-                  "one_sided_jacobi expects m >= n >= 2");
-  require_finite_columns(a, "one_sided_jacobi");
-  // Level 0 of the engine hierarchy: one PairKernel, bound once to the
-  // resolved dispatch table (after the per-solve tier override), drives every
-  // pair of the run.
-  const ScopedIsaOverride isa_guard(options.force_isa);
-  const PairKernel kernel(options);
-  int padded_n = 0;
-  Matrix h = pad_columns(a, ordering, &padded_n);
-  SweepGuards guards(options);
-  guards.eq = equilibrate(h, options.equilibrate);
-  Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
-  Matrix* vp = options.compute_v ? &v : nullptr;
-
-  std::vector<int> layout(static_cast<std::size_t>(padded_n));
-  for (int i = 0; i < padded_n; ++i) layout[static_cast<std::size_t>(i)] = i;
-
-  NormCache cache;
-  if (options.cache_norms) cache.refresh(h);
-  KernelCounters plain_counters;
-
-  SvdResult r;
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    maybe_refresh(&cache, h, sweep, options);
-    const Sweep s = ordering.sweep_from(layout, sweep);
-    std::size_t sweep_rot = 0;
-    std::size_t sweep_swap = 0;
-    for (int t = 0; t < s.steps(); ++t) {
-      const StepPairs pairs = s.step_pairs(t);
-      for (int k = 0; k < pairs.leaves(); ++k) {
-        if (!pairs.active_at(k)) continue;
-        const IndexPair p = pairs.at(k);
-        const int i = std::min(p.even, p.odd);
-        const int j = std::max(p.even, p.odd);
-        const PairOutcome o = options.cache_norms
-                                  ? kernel.process_cached(h, vp, i, j, cache)
-                                  : kernel.process(h, vp, i, j, &plain_counters);
-        sweep_rot += o.rotated ? 1 : 0;
-        sweep_swap += o.swapped ? 1 : 0;
-      }
-    }
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
-    r.rotations += sweep_rot;
-    r.swaps += sweep_swap;
-    r.sweeps = sweep + 1;
-    if (options.track_off)
-      r.off_history.push_back(
-          off_diagonal_measure(h, nullptr, options.cache_norms ? &cache : nullptr));
-    if (sweep_rot == 0 && sweep_swap == 0) {
-      r.converged = true;
-      break;
-    }
-    if (guards.observe(static_cast<double>(sweep_rot + sweep_swap)) && options.cache_norms)
-      cache.refresh(h);
-  }
-  r.kernel_stats =
-      options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
-  r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
-  return finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
+  return elementwise_jacobi(a, &ordering, nullptr, options, "one_sided_jacobi");
 }
 
 SvdResult one_sided_jacobi_threaded(const Matrix& a, const Ordering& ordering,
                                     const JacobiOptions& options, unsigned threads) {
-  TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2,
-                  "one_sided_jacobi_threaded expects m >= n >= 2");
-  require_finite_columns(a, "one_sided_jacobi_threaded");
-  const ScopedIsaOverride isa_guard(options.force_isa);
-  const PairKernel kernel(options);
-  int padded_n = 0;
-  Matrix h = pad_columns(a, ordering, &padded_n);
-  SweepGuards guards(options);
-  guards.eq = equilibrate(h, options.equilibrate);
-  Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(padded_n)) : Matrix();
-  Matrix* vp = options.compute_v ? &v : nullptr;
-
-  std::vector<int> layout(static_cast<std::size_t>(padded_n));
-  for (int i = 0; i < padded_n; ++i) layout[static_cast<std::size_t>(i)] = i;
-
   ThreadPool pool(threads);
-  NormCache cache;
-  if (options.cache_norms) cache.refresh(h);
-  KernelCounters plain_counters;
-
-  SvdResult r;
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    maybe_refresh(&cache, h, sweep, options);
-    const Sweep s = ordering.sweep_from(layout, sweep);
-    std::atomic<std::size_t> sweep_rot{0};
-    std::atomic<std::size_t> sweep_swap{0};
-    TREESVD_HB_SCOPED_FRAME(sweep_frame, [&] { return "sweep " + std::to_string(sweep); });
-    for (int t = 0; t < s.steps(); ++t) {
-      // The non-allocating view is shared read-only across the pool; tasks
-      // are indexed by leaf, so the step's pair list is never copied.
-      const StepPairs pairs = s.step_pairs(t);
-      TREESVD_HB_SCOPED_FRAME(step_frame, [&] { return "step " + std::to_string(t); });
-      pool.parallel_for(
-          static_cast<std::size_t>(pairs.leaves()),
-          [&](std::size_t k) {
-            if (!pairs.active_at(static_cast<int>(k))) return;
-            const IndexPair p = pairs.at(static_cast<int>(k));
-            const int i = std::min(p.even, p.odd);
-            const int j = std::max(p.even, p.odd);
-            const PairOutcome o = options.cache_norms
-                                      ? kernel.process_cached(h, vp, i, j, cache)
-                                      : kernel.process(h, vp, i, j, &plain_counters);
-            if (o.rotated) sweep_rot.fetch_add(1, std::memory_order_relaxed);
-            if (o.swapped) sweep_swap.fetch_add(1, std::memory_order_relaxed);
-          },
-          options.grain);
-    }
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
-    r.rotations += sweep_rot.load();
-    r.swaps += sweep_swap.load();
-    r.sweeps = sweep + 1;
-    if (options.track_off)
-      r.off_history.push_back(
-          off_diagonal_measure(h, &pool, options.cache_norms ? &cache : nullptr));
-    if (sweep_rot.load() == 0 && sweep_swap.load() == 0) {
-      r.converged = true;
-      break;
-    }
-    if (guards.observe(static_cast<double>(sweep_rot.load() + sweep_swap.load())) &&
-        options.cache_norms)
-      cache.refresh(h);
-  }
-  r.kernel_stats =
-      options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
-  r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
-  return finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
+  return elementwise_jacobi(a, &ordering, &pool, options, "one_sided_jacobi_threaded");
 }
 
 SvdResult cyclic_jacobi(const Matrix& a, const JacobiOptions& options) {
-  TREESVD_REQUIRE(a.rows() >= a.cols() && a.cols() >= 2,
-                  "cyclic_jacobi expects m >= n >= 2");
-  require_finite_columns(a, "cyclic_jacobi");
-  const ScopedIsaOverride isa_guard(options.force_isa);
-  const PairKernel kernel(options);
-  const int n = static_cast<int>(a.cols());
-  Matrix h = a;
-  SweepGuards guards(options);
-  guards.eq = equilibrate(h, options.equilibrate);
-  Matrix v = options.compute_v ? Matrix::identity(static_cast<std::size_t>(n)) : Matrix();
-  Matrix* vp = options.compute_v ? &v : nullptr;
-
-  NormCache cache;
-  if (options.cache_norms) cache.refresh(h);
-  KernelCounters plain_counters;
-
-  SvdResult r;
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    maybe_refresh(&cache, h, sweep, options);
-    std::size_t sweep_rot = 0;
-    std::size_t sweep_swap = 0;
-    for (int i = 0; i < n - 1; ++i) {
-      for (int j = i + 1; j < n; ++j) {
-        const PairOutcome o = options.cache_norms
-                                  ? kernel.process_cached(h, vp, i, j, cache)
-                                  : kernel.process(h, vp, i, j, &plain_counters);
-        sweep_rot += o.rotated ? 1 : 0;
-        sweep_swap += o.swapped ? 1 : 0;
-      }
-    }
-    r.rotations += sweep_rot;
-    r.swaps += sweep_swap;
-    r.sweeps = sweep + 1;
-    if (options.track_off)
-      r.off_history.push_back(
-          off_diagonal_measure(h, nullptr, options.cache_norms ? &cache : nullptr));
-    if (sweep_rot == 0 && sweep_swap == 0) {
-      r.converged = true;
-      break;
-    }
-    if (guards.observe(static_cast<double>(sweep_rot + sweep_swap)) && options.cache_norms)
-      cache.refresh(h);
-  }
-  r.kernel_stats =
-      options.cache_norms ? cache.counters().snapshot() : plain_counters.snapshot();
-  r.kernel_stats.isa_tier = static_cast<int>(kernel.tier());
-  return finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
+  return elementwise_jacobi(a, nullptr, nullptr, options, "cyclic_jacobi");
 }
 
 }  // namespace treesvd

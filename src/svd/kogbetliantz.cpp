@@ -71,26 +71,23 @@ KogbetliantzResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
 
   const double scale = std::max(work.max_abs(), 1e-300);
 
-  std::vector<int> layout(np);
-  std::iota(layout.begin(), layout.end(), 0);
-
+  SweepChain chain(ordering, padded);
   KogbetliantzResult r;
   for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
-    const Sweep s = ordering.sweep_from(layout, sweep);
+    const Sweep s = chain.next();
     std::size_t sweep_rot = 0;
     for (int t = 0; t < s.steps(); ++t) {
       std::vector<Staged> staged;
-      for (const IndexPair& p : s.pairs(t)) {
-        const auto i = static_cast<std::size_t>(std::min(p.even, p.odd));
-        const auto j = static_cast<std::size_t>(std::max(p.even, p.odd));
+      s.step_pairs(t).for_each([&](int pi, int pj) {
+        const auto i = static_cast<std::size_t>(pi);
+        const auto j = static_cast<std::size_t>(pj);
         const double aij = work(i, j);
         const double aji = work(j, i);
         if (std::fabs(aij) <= options.tol * scale && std::fabs(aji) <= options.tol * scale)
-          continue;
-        staged.push_back({static_cast<int>(i), static_cast<int>(j),
-                          two_sided_rotation(work(i, i), aij, aji, work(j, j))});
+          return;
+        staged.push_back({pi, pj, two_sided_rotation(work(i, i), aij, aji, work(j, j))});
         ++sweep_rot;
-      }
+      });
       // Left phase: rows i, j combine (J_l^T from the left).
       for (const Staged& st : staged) {
         const auto i = static_cast<std::size_t>(st.i);
@@ -139,8 +136,6 @@ KogbetliantzResult kogbetliantz_svd(const Matrix& a, const Ordering& ordering,
         work(j, i) = 0.0;
       }
     }
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
     r.rotations += sweep_rot;
     r.sweeps = sweep + 1;
     if (options.track_off) r.off_history.push_back(off_fraction(work));

@@ -1,23 +1,18 @@
 #pragma once
 // Level 0 of the three-level engine hierarchy (DESIGN.md §14): rotate (and
 // optionally sort-swap) one column pair. Used by the serial, thread-parallel,
-// block, and SPMD Jacobi drivers; the batched engine mirrors the same
+// cyclic, block, and SPMD Jacobi drivers; the batched engine mirrors the same
 // decisions across lanes.
 //
 // The PairKernel class binds the options to a resolved CPU-dispatch kernel
-// table (linalg/dispatch.hpp) once per driver run, so the per-pair cost pays
-// no dispatch resolution at all. Two flavours:
+// table (linalg/dispatch.hpp) once per driver run (once per rank under SPMD),
+// so the per-pair cost pays no dispatch resolution at all. Two flavours:
 //  * process — classical: one gram_pair pass (three accumulations) decides
 //    the rotation, one rotation pass applies it.
 //  * process_cached — the fast path: the caller supplies the cached squared
 //    norms app/aqq, so deciding the rotation costs a single x.y accumulation,
 //    and the fused rotate_and_norms pass returns the new norms for the cache.
 //    See norm_cache.hpp for the invariants.
-//
-// The free process_pair* functions below are thin wrappers constructing a
-// PairKernel from the process-wide resolved table — the convenient form for
-// call sites that touch a few pairs, while the sweep drivers hold a
-// PairKernel across the whole run.
 
 #include <cmath>
 #include <span>
@@ -215,33 +210,5 @@ class PairKernel {
   const KernelTable* table_;
   const JacobiOptions* opt_;
 };
-
-/// Free-function forms, kept for call sites that touch a few pairs: each call
-/// constructs a PairKernel from the process-wide resolved table.
-
-inline PairOutcome process_pair_columns(std::span<double> x, std::span<double> y,
-                                        std::span<double> vx, std::span<double> vy,
-                                        const JacobiOptions& opt,
-                                        KernelCounters* counters = nullptr) {
-  return PairKernel(opt).process(x, y, vx, vy, counters);
-}
-
-inline CachedPairOutcome process_pair_columns_cached(std::span<double> x, std::span<double> y,
-                                                     std::span<double> vx, std::span<double> vy,
-                                                     double app, double aqq,
-                                                     const JacobiOptions& opt,
-                                                     KernelCounters& counters) {
-  return PairKernel(opt).process_cached(x, y, vx, vy, app, aqq, counters);
-}
-
-inline PairOutcome process_pair(Matrix& a, Matrix* v, int i, int j, const JacobiOptions& opt,
-                                KernelCounters* counters = nullptr) {
-  return PairKernel(opt).process(a, v, i, j, counters);
-}
-
-inline PairOutcome process_pair_cached(Matrix& a, Matrix* v, int i, int j,
-                                       const JacobiOptions& opt, NormCache& cache) {
-  return PairKernel(opt).process_cached(a, v, i, j, cache);
-}
 
 }  // namespace treesvd::detail

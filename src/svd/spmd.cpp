@@ -6,6 +6,7 @@
 
 #include "linalg/blas1.hpp"
 #include "mp/message_passing.hpp"
+#include "svd/driver_detail.hpp"
 #include "svd/equilibrate.hpp"
 #include "svd/pair_kernel.hpp"
 #include "util/require.hpp"
@@ -232,9 +233,14 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
     // respawned rank process starts from the same counter state a rolled-back
     // thread would.
     KernelCounters counters;
+    // Level 0: one PairKernel per rank, as in every other driver.
+    const detail::PairKernel kernel(options);
     // Local state: this rank's two slots.
     SlotState slot[2];
-    std::vector<int> layout(static_cast<std::size_t>(n));
+    // Every rank derives the identical schedule (SPMD-style replicated
+    // control) from one sweep chain; the layout evolves deterministically
+    // between sweeps.
+    SweepChain chain(ordering, n);
     ConvergenceWatchdog watchdog(recovery.watchdog_sweeps);
     // Replicated control: every rank feeds the same collective activity, so
     // the classifier state is identical everywhere; rank 0 publishes it.
@@ -258,9 +264,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
         slot[k].hsq = sumsq_robust(slot[k].h);
       }
       counters.add_norm_refresh(2);
-      // Every rank derives the identical schedule (SPMD-style replicated
-      // control); the layout evolves deterministically between sweeps.
-      for (int i = 0; i < n; ++i) layout[static_cast<std::size_t>(i)] = i;
     } else {
       // Respawn: resume from the newest boundary every rank committed. The
       // board is readable here on both backends — shared memory in-process,
@@ -279,7 +282,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
       TREESVD_ASSERT(found);
       slot[0] = std::move(cp.slot[0]);
       slot[1] = std::move(cp.slot[1]);
-      layout = cp.layout;
+      chain = SweepChain(ordering, std::move(cp.layout), cp.sweep);
       sweep = cp.sweep;
       my_rot = cp.rot;
       my_swap = cp.swap;
@@ -309,7 +312,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
           cp.sweep = sweep;
           cp.slot[0] = slot[0];
           cp.slot[1] = slot[1];
-          cp.layout = layout;
+          cp.layout.assign(chain.layout().begin(), chain.layout().end());
           cp.rot = my_rot;
           cp.swap = my_swap;
           cp.kernels = counters.snapshot();
@@ -326,12 +329,11 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
       }
       // Scheduled drift control, mirroring the shared-memory drivers: each
       // rank re-reduces its resident columns.
-      if (options.cache_norms && sweep > 0 && options.norm_recompute_sweeps > 0 &&
-          sweep % options.norm_recompute_sweeps == 0) {
+      if (options.cache_norms && detail::scheduled_refresh_due(sweep, options)) {
         for (auto& sl : slot) sl.hsq = sumsq_robust(sl.h);
         counters.add_norm_refresh(2);
       }
-      const Sweep s = ordering.sweep_from(layout, sweep);
+      const Sweep s = chain.next();
       // Intra-leaf reconciliation: the sweep's opening layout may orient this
       // leaf's pair the other way round; swapping locally is free.
       {
@@ -353,14 +355,13 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
           const std::span<double> vhi = options.compute_v ? std::span<double>(slot[hi].v) : none;
           detail::PairOutcome o;
           if (options.cache_norms) {
-            const auto co = detail::process_pair_columns_cached(
-                slot[lo].h, slot[hi].h, vlo, vhi, slot[lo].hsq, slot[hi].hsq, options, counters);
+            const auto co = kernel.process_cached(slot[lo].h, slot[hi].h, vlo, vhi, slot[lo].hsq,
+                                                  slot[hi].hsq, counters);
             slot[lo].hsq = co.app;
             slot[hi].hsq = co.aqq;
             o = co.outcome;
           } else {
-            o = detail::process_pair_columns(slot[lo].h, slot[hi].h, vlo, vhi, options,
-                                             &counters);
+            o = kernel.process(slot[lo].h, slot[hi].h, vlo, vhi, &counters);
           }
           sweep_rot += o.rotated ? 1 : 0;
           sweep_swap += o.swapped ? 1 : 0;
@@ -433,8 +434,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
         slot[0] = std::move(next[0]);
         slot[1] = std::move(next[1]);
       }
-      const auto fin = s.final_layout();
-      layout.assign(fin.begin(), fin.end());
       // Convergence is a collective decision.
       const double active = ctx.allreduce_sum(static_cast<double>(sweep_rot + sweep_swap));
       my_rot += sweep_rot;
@@ -510,62 +509,36 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
     stats->recovery = world.recovery_stats();
   }
 
-  // Assemble the result by label from the published rank blobs, exactly like
-  // the other engines. Replicated control (sweeps/converged/stall) is read
-  // from rank 0; the additive totals are summed in rank order.
-  std::vector<RankResult> results;
-  results.reserve(static_cast<std::size_t>(ranks));
-  for (int rr = 0; rr < ranks; ++rr) results.push_back(unpack_result(world.published(result_key(rr))));
-
+  // Assemble the result by label from the published rank blobs into the
+  // working matrices of the other engines, and finalize as they do.
+  // Replicated control (sweeps/converged/stall) is read from rank 0; the
+  // additive totals are summed in rank order; the watchdog trips are the
+  // world's count.
+  detail::SweepGuards guards(options);
+  guards.eq = eq;
+  guards.watchdog_trips = world.recovery_stats().watchdog_trips;
+  Matrix h(rows, static_cast<std::size_t>(n));
+  Matrix v = options.compute_v ? Matrix(static_cast<std::size_t>(n), static_cast<std::size_t>(n))
+                               : Matrix();
   SvdResult r;
-  r.sweeps = results[0].sweep;
-  r.converged = results[0].converged;
-  const StallDetector final_stall = results[0].stall;
-  KernelStats kernels;
-  for (const RankResult& res : results) {
+  for (int rr = 0; rr < ranks; ++rr) {
+    const RankResult res = unpack_result(world.published(result_key(rr)));
+    if (rr == 0) {
+      r.sweeps = res.sweep;
+      r.converged = res.converged;
+      guards.stall = res.stall;
+    }
     r.rotations += res.rot;
     r.swaps += res.swap;
-    kernels += res.kernels;
-  }
-  kernels.isa_tier = static_cast<int>(resolved_isa());
-  r.kernel_stats = kernels;
-
-  std::vector<const SlotState*> by_label(static_cast<std::size_t>(n), nullptr);
-  for (const RankResult& res : results)
-    for (const SlotState& s : res.slot) by_label[static_cast<std::size_t>(s.label)] = &s;
-
-  r.sigma.resize(static_cast<std::size_t>(n0));
-  for (int i = 0; i < n0; ++i) r.sigma[static_cast<std::size_t>(i)] = nrm2(by_label[static_cast<std::size_t>(i)]->h);
-  const double smax = *std::max_element(r.sigma.begin(), r.sigma.end());
-  r.u = Matrix(rows, static_cast<std::size_t>(n0));
-  for (int i = 0; i < n0; ++i) {
-    const double sig = r.sigma[static_cast<std::size_t>(i)];
-    if (sig <= options.rank_tol * smax || sig == 0.0) continue;
-    const auto& src = by_label[static_cast<std::size_t>(i)]->h;
-    const auto dst = r.u.col(static_cast<std::size_t>(i));
-    for (std::size_t row = 0; row < rows; ++row) dst[row] = src[row] / sig;
-  }
-  if (options.compute_v) {
-    r.v = Matrix(static_cast<std::size_t>(n0), static_cast<std::size_t>(n0));
-    for (int i = 0; i < n0; ++i) {
-      const auto& src = by_label[static_cast<std::size_t>(i)]->v;
-      const auto dst = r.v.col(static_cast<std::size_t>(i));
-      std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n0), dst.begin());
+    r.kernel_stats += res.kernels;
+    for (const SlotState& sl : res.slot) {
+      const auto label = static_cast<std::size_t>(sl.label);
+      std::copy(sl.h.begin(), sl.h.end(), h.col(label).begin());
+      if (options.compute_v) std::copy(sl.v.begin(), sl.v.end(), v.col(label).begin());
     }
   }
-  // U was divided out at the equilibrated scale (the 2^e factor cancels
-  // bitwise); only sigma carries the scale and is undone exactly here.
-  unscale_sigma(r.sigma, eq);
-  r.status = r.converged ? SvdStatus::kConverged
-                         : (final_stall.stalled() ? SvdStatus::kStalled : SvdStatus::kMaxSweeps);
-  r.diagnostics.input_scale = eq.stats;
-  r.diagnostics.equilibrated = eq.applied;
-  r.diagnostics.equilibration_exponent = eq.exponent;
-  r.diagnostics.stalled_sweeps = final_stall.streak();
-  r.diagnostics.watchdog_trips = world.recovery_stats().watchdog_trips;
-  if (!r.converged || options.full_diagnostics)
-    assess_quality(a, r, eq.exponent, options.rank_tol);
-  return r;
+  r.kernel_stats.isa_tier = static_cast<int>(resolved_isa());
+  return detail::finalize(std::move(h), std::move(v), a, options, guards, std::move(r));
 }
 
 }  // namespace treesvd

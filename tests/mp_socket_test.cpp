@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -256,6 +257,32 @@ TEST(SocketBackend, ResetForReplayRearmsAfterProcessDeath) {
   for (int r = 0; r < 3; ++r)
     EXPECT_EQ(world.published(500 + static_cast<std::uint64_t>(r))[0], static_cast<double>(r));
   EXPECT_EQ(world.recovery_stats().kills, 1u);
+}
+
+TEST(SocketBackend, HighestRankErrorSurfacesOverUnwindingRanks) {
+  SKIP_UNDER_TSAN();
+  // The highest rank throws; every lower rank is blocked on it, unwinds with
+  // WorldAbortedError, writes its error frame and exits with status 2. The
+  // launcher may reap such a rank before it has read that frame; it must
+  // still classify the exit by the frame, never as an unexplained status 2
+  // that would outrank the real failure. Repeated so the reap/drain race
+  // gets many chances to land.
+  const int ranks = 4;
+  for (int world_no = 0; world_no < 200; ++world_no) {
+    mp::World world(ranks);
+    world.set_backend(mp::Backend::kSocket);
+    try {
+      world.run([](mp::Context& ctx) {
+        if (ctx.rank() == ctx.size() - 1) throw std::runtime_error("highest rank failed");
+        static_cast<void>(ctx.recv(ctx.size() - 1, 1));
+      });
+      FAIL() << "world " << world_no << ": expected the highest rank's error";
+    } catch (const mp::WorldAbortedError& e) {
+      FAIL() << "world " << world_no << ": secondary unwinding surfaced: " << e.what();
+    } catch (const std::runtime_error& e) {
+      ASSERT_EQ(std::string(e.what()), "highest rank failed") << "world " << world_no;
+    }
+  }
 }
 
 }  // namespace

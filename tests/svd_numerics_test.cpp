@@ -6,11 +6,16 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/registry.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/rotation.hpp"
+#include "svd/batch.hpp"
+#include "svd/block_jacobi.hpp"
+#include "svd/determinism.hpp"
 #include "svd/equilibrate.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/pair_kernel.hpp"
@@ -214,8 +219,7 @@ TEST(DriftGuard, UnderflowedThresholdForcesReReduction) {
   JacobiOptions opt;
   KernelCounters counters;
   const std::span<double> none;
-  const auto out =
-      detail::process_pair_columns_cached(x, y, none, none, app, aqq, opt, counters);
+  const auto out = detail::PairKernel(opt).process_cached(x, y, none, none, app, aqq, counters);
   EXPECT_GT(counters.snapshot().norm_refreshes, 0u);
   EXPECT_TRUE(out.outcome.rotated || out.outcome.swapped);
   EXPECT_TRUE(std::isfinite(out.app));
@@ -232,8 +236,8 @@ TEST(DriftGuard, PoisonedCacheIsRepairedBeforeUse) {
   JacobiOptions opt;
   KernelCounters counters;
   const std::span<double> none;
-  const auto out = detail::process_pair_columns_cached(x, y, none, none, kInf, sumsq(y), opt,
-                                                       counters);
+  const auto out =
+      detail::PairKernel(opt).process_cached(x, y, none, none, kInf, sumsq(y), counters);
   EXPECT_GE(counters.snapshot().norm_refreshes, 2u);
   EXPECT_TRUE(std::isfinite(out.app));
   EXPECT_TRUE(std::isfinite(out.aqq));
@@ -247,7 +251,7 @@ TEST(DriftGuard, FarFromThresholdNeverFires) {
   JacobiOptions opt;
   KernelCounters counters;
   const std::span<double> none;
-  detail::process_pair_columns_cached(x, y, none, none, sumsq(x), sumsq(y), opt, counters);
+  detail::PairKernel(opt).process_cached(x, y, none, none, sumsq(x), sumsq(y), counters);
   EXPECT_EQ(counters.snapshot().norm_refreshes, 0u);
 }
 
@@ -277,6 +281,39 @@ TEST(StallDetector, ZeroActivityIsConvergenceNotStall) {
   EXPECT_EQ(d.streak(), 0);
 }
 
+/// Every one-sided engine runs the one sweep loop, guard cadence and
+/// finalize: on `a` under `opt`, each must equal serial one_sided_jacobi in
+/// result digest, status, stalled sweeps and watchdog trips.
+void expect_engines_match_serial(const Matrix& a, const Ordering& ord, const JacobiOptions& opt) {
+  const SvdResult serial = one_sided_jacobi(a, ord, opt);
+  BlockJacobiOptions unit;
+  unit.block_width = 1;
+  unit.inner_mode = InnerMode::kElementwise;
+  unit.inner_sweeps = 1;
+  unit.tol = opt.tol;
+  unit.max_outer_sweeps = opt.max_sweeps;
+  unit.sort = opt.sort;
+  unit.watchdog_sweeps = opt.watchdog_sweeps;
+  unit.stall_window = opt.stall_window;
+  unit.full_diagnostics = opt.full_diagnostics;
+  BatchedSvdOptions lanes;
+  lanes.jacobi = opt;
+  BatchedSvd batched(a.rows(), a.cols(), ord, lanes);
+  const std::vector<std::pair<std::string, SvdResult>> engines = {
+      {"threaded", one_sided_jacobi_threaded(a, ord, opt, 3)},
+      {"block b=1", block_one_sided_jacobi(a, ord, unit)},
+      {"batched", batched.solve({&a, 1}).front()},
+      {"spmd", spmd_jacobi(a, ord, opt)},
+  };
+  for (const auto& [engine, r] : engines) {
+    SCOPED_TRACE(engine);
+    EXPECT_EQ(result_digest(r), result_digest(serial));
+    EXPECT_EQ(r.status, serial.status);
+    EXPECT_EQ(r.diagnostics.stalled_sweeps, serial.diagnostics.stalled_sweeps);
+    EXPECT_EQ(r.diagnostics.watchdog_trips, serial.diagnostics.watchdog_trips);
+  }
+}
+
 TEST(StatusContract, StalledRunIsDiagnosedWithQualityMetrics) {
   // tol = 0 on a single column pair: the roundoff-level dot never reaches
   // exactly zero, so every sweep performs exactly one rotation — activity is
@@ -298,6 +335,7 @@ TEST(StatusContract, StalledRunIsDiagnosedWithQualityMetrics) {
   EXPECT_GE(r.diagnostics.u_defect, 0.0);
   EXPECT_GE(r.diagnostics.v_defect, 0.0);
   for (const double s : r.sigma) EXPECT_TRUE(std::isfinite(s));
+  expect_engines_match_serial(a, *make_ordering("round-robin"), opt);
 }
 
 TEST(StatusContract, WatchdogTripsAreCountedOnStalledRuns) {
@@ -310,6 +348,27 @@ TEST(StatusContract, WatchdogTripsAreCountedOnStalledRuns) {
   const SvdResult r = one_sided_jacobi(a, *make_ordering("round-robin"), opt);
   ASSERT_FALSE(r.converged);
   EXPECT_GT(r.diagnostics.watchdog_trips, 0u);
+  expect_engines_match_serial(a, *make_ordering("round-robin"), opt);
+}
+
+TEST(StatusContract, MaxSweepsRunIsReportedByEveryEngine) {
+  // Two sweeps cannot converge a random 12 x 8 matrix, and the activity is
+  // still falling, so the run ends kMaxSweeps (not kStalled) with the heavy
+  // diagnostics requested — identically on every engine.
+  Rng rng(34);
+  const Matrix a = random_gaussian(12, 8, rng);
+  JacobiOptions opt;
+  opt.max_sweeps = 2;
+  opt.full_diagnostics = true;
+  for (const char* name : {"fat-tree", "new-ring", "odd-even"}) {
+    SCOPED_TRACE(name);
+    const auto ord = make_ordering(name);
+    const SvdResult r = one_sided_jacobi(a, *ord, opt);
+    ASSERT_FALSE(r.converged);
+    EXPECT_EQ(r.status, SvdStatus::kMaxSweeps);
+    EXPECT_GE(r.diagnostics.scaled_residual, 0.0);
+    expect_engines_match_serial(a, *ord, opt);
+  }
 }
 
 TEST(StatusContract, ConvergedRunsReportConvergedEverywhere) {

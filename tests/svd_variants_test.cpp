@@ -12,6 +12,8 @@
 #include "linalg/generators.hpp"
 #include "linalg/symmetric_eigen.hpp"
 #include "svd/block_jacobi.hpp"
+#include "svd/determinism.hpp"
+#include "svd/jacobi.hpp"
 #include "svd/preconditioned.hpp"
 
 namespace treesvd {
@@ -70,6 +72,23 @@ TEST(BlockJacobiExtra, WidthOneMatchesElementwiseBehaviour) {
   ASSERT_TRUE(r.converged);
   const auto sv = singular_values_oracle(a);
   for (std::size_t k = 0; k < sv.size(); ++k) EXPECT_NEAR(r.sigma[k], sv[k], 1e-8);
+
+  // Width-one blocks with one elementwise inner pass per encounter are the
+  // element-wise engine: both run one sweep chain, one guard cadence and
+  // one finalize, so the results agree bit for bit.
+  BlockJacobiOptions unit;
+  unit.block_width = 1;
+  unit.inner_mode = InnerMode::kElementwise;
+  unit.inner_sweeps = 1;
+  for (const char* name : {"round-robin", "odd-even", "fat-tree", "llb-fat-tree", "new-ring",
+                           "modified-ring", "hybrid-g4"}) {
+    SCOPED_TRACE(name);
+    const auto ord = make_ordering(name);
+    const SvdResult block = block_one_sided_jacobi(a, *ord, unit);
+    const SvdResult serial = one_sided_jacobi(a, *ord);
+    EXPECT_EQ(result_digest(block), result_digest(serial));
+    EXPECT_EQ(block.status, serial.status);
+  }
 }
 
 TEST(BlockJacobiExtra, NonDividingWidthPadsCleanly) {

@@ -225,16 +225,10 @@ std::string check_move_consistency(const Sweep& s) {
 std::string check_restoration(const Ordering& ord, int n) {
   // Every ordering in the paper restores index order after at most two
   // sweeps (fat-tree after one; rings, odd-even and LLB after two).
-  std::vector<int> layout(static_cast<std::size_t>(n));
-  std::iota(layout.begin(), layout.end(), 0);
-  for (int k = 0; k < 2; ++k) {
-    const Sweep s = ord.sweep_from(layout, k);
-    const auto fin = s.final_layout();
-    layout.assign(fin.begin(), fin.end());
-  }
-  std::vector<int> ident(static_cast<std::size_t>(n));
-  std::iota(ident.begin(), ident.end(), 0);
-  if (layout == ident) return {};
+  SweepChain chain(ord, n);
+  for (int k = 0; k < 2; ++k) chain.next();
+  // A permutation of 0..n-1 is the identity exactly when it is sorted.
+  if (std::is_sorted(chain.layout().begin(), chain.layout().end())) return {};
   return "index order not restored after two sweeps";
 }
 
@@ -271,15 +265,14 @@ std::string check_inner_recursion(const Ordering& ord) {
   // 2b local columns, chaining the local layout across the encounter's inner
   // sweeps exactly as the outer driver chains block layouts. This replays
   // that usage at the supported inner panel widths (2b in {4, 8, 16}, two
-  // chained sweeps via sweep_from) and checks what the inner engines assume:
+  // chained sweeps of a SweepChain) and checks what the inner engines assume:
   // every inner step's concurrent pairs are disjoint, and each inner sweep
   // still rotates every local pair exactly once.
   for (const int w : {4, 8, 16}) {
     if (!ord.supports(w)) continue;
-    std::vector<int> layout(static_cast<std::size_t>(w));
-    std::iota(layout.begin(), layout.end(), 0);
+    SweepChain chain(ord, w);
     for (int k = 0; k < 2; ++k) {
-      const Sweep s = ord.sweep_from(layout, k);
+      const Sweep s = chain.next();
       for (int t = 0; t < s.steps(); ++t) {
         std::string detail = check_pairs_disjoint(s.step_pairs(t), w, t);
         if (!detail.empty())
@@ -291,8 +284,6 @@ std::string check_inner_recursion(const Ordering& ord) {
         return "inner width " + std::to_string(w) + ", sweep " + std::to_string(k) +
                ": rotation count " + std::to_string(s.rotation_count()) + ", expected " +
                std::to_string(want);
-      const auto fin = s.final_layout();
-      layout.assign(fin.begin(), fin.end());
     }
   }
   return {};
