@@ -6,7 +6,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <mutex>
+#include <thread>
 #include <utility>
 
 #include "analysis/hooks.hpp"
@@ -32,11 +32,13 @@ constexpr std::size_t kParallelFlops = std::size_t{1} << 23;
 /// The shared pool is single-caller (ThreadPool::parallel_for keeps its
 /// batch state in member slots), so entry points race for this gate; losers
 /// route to the thread's fallback pool, or run serially, instead of
-/// corrupting the batch.
-std::mutex& pool_gate() {
-  static std::mutex gate;
-  return gate;
-}
+/// corrupting the batch. A try-acquire flag, not a mutex: a retry from the
+/// thread that already holds the gate (a nested dispatch, or a test holding
+/// it through ScopedGemmGateHold) is defined and simply loses.
+std::atomic<bool> pool_gate{false};
+
+bool try_acquire_gate() noexcept { return !pool_gate.exchange(true, std::memory_order_acquire); }
+void release_gate() noexcept { pool_gate.store(false, std::memory_order_release); }
 
 /// Per-thread fallback registered by ScopedGemmFallbackPool: where a
 /// gate-contended dispatch goes instead of degrading to serial.
@@ -46,50 +48,6 @@ std::atomic<std::size_t> stat_pooled{0};
 std::atomic<std::size_t> stat_fallback{0};
 std::atomic<std::size_t> stat_serial{0};
 std::atomic<std::size_t> stat_inline{0};
-
-/// Runs task(i) for i in [0, count) in chunks of `grain` consecutive
-/// indices. Route order: caller-owned pool (its owner vouches for
-/// exclusivity — no gate), shared pool when the gate is free, the thread's
-/// registered fallback pool when it is not, serial last. The serial routes
-/// walk the same grain-chunked order the pools hand out, so the configured
-/// grain survives gate contention — which route wins never changes the work
-/// decomposition. Tasks write disjoint output, so every route produces
-/// identical results.
-void dispatch(std::size_t count, std::size_t flops, ThreadPool* pool, std::size_t grain,
-              const std::function<void(std::size_t)>& task) {
-  const std::size_t g = std::max<std::size_t>(grain, 1);
-  const auto run_serial = [&] {
-    for (std::size_t c0 = 0; c0 < count; c0 += g) {
-      const std::size_t end = std::min(count, c0 + g);
-      for (std::size_t i = c0; i < end; ++i) task(i);
-    }
-  };
-  if (pool == nullptr || count <= 1 || flops < kParallelFlops) {
-    stat_inline.fetch_add(1, std::memory_order_relaxed);
-    run_serial();
-    return;
-  }
-  if (pool != gemm_pool()) {
-    stat_pooled.fetch_add(1, std::memory_order_relaxed);
-    pool->parallel_for(count, task, g);
-    return;
-  }
-  if (pool_gate().try_lock()) {
-    const std::unique_lock<std::mutex> gate(pool_gate(), std::adopt_lock);
-    stat_pooled.fetch_add(1, std::memory_order_relaxed);
-    pool->parallel_for(count, task, g);
-    return;
-  }
-  if (tl_gemm_fallback != nullptr) {
-    // Contended shared pool, but this thread carries its own: a concurrent
-    // batch shard keeps its BLAS-3 parallel instead of single-threading.
-    stat_fallback.fetch_add(1, std::memory_order_relaxed);
-    tl_gemm_fallback->parallel_for(count, task, g);
-    return;
-  }
-  stat_serial.fetch_add(1, std::memory_order_relaxed);
-  run_serial();
-}
 
 /// jki loop for tiny products (streams down columns of a and c).
 void gemm_naive(Matrix& c, const Matrix& a, const Matrix& b) {
@@ -147,6 +105,46 @@ ThreadPool* gemm_pool() {
   return &pool;
 }
 
+void gemm_parallel_for(std::size_t count, std::size_t flops, ThreadPool* pool, std::size_t grain,
+                       const std::function<void(std::size_t)>& task) {
+  const std::size_t g = std::max<std::size_t>(grain, 1);
+  // The serial routes walk the same grain-chunked order the pools hand out,
+  // so the configured grain survives gate contention.
+  const auto run_serial = [&] {
+    for (std::size_t c0 = 0; c0 < count; c0 += g) {
+      const std::size_t end = std::min(count, c0 + g);
+      for (std::size_t i = c0; i < end; ++i) task(i);
+    }
+  };
+  if (pool == nullptr || count <= 1 || flops < kParallelFlops) {
+    stat_inline.fetch_add(1, std::memory_order_relaxed);
+    run_serial();
+    return;
+  }
+  if (pool != gemm_pool()) {
+    stat_pooled.fetch_add(1, std::memory_order_relaxed);
+    pool->parallel_for(count, task, g);
+    return;
+  }
+  if (try_acquire_gate()) {
+    struct Release {
+      ~Release() { release_gate(); }
+    } const release;
+    stat_pooled.fetch_add(1, std::memory_order_relaxed);
+    pool->parallel_for(count, task, g);
+    return;
+  }
+  if (tl_gemm_fallback != nullptr) {
+    // Contended shared pool, but this thread carries its own: a concurrent
+    // batch shard keeps its BLAS-3 parallel instead of single-threading.
+    stat_fallback.fetch_add(1, std::memory_order_relaxed);
+    tl_gemm_fallback->parallel_for(count, task, g);
+    return;
+  }
+  stat_serial.fetch_add(1, std::memory_order_relaxed);
+  run_serial();
+}
+
 GemmDispatchStats gemm_dispatch_stats() noexcept {
   GemmDispatchStats s;
   s.pooled = stat_pooled.load(std::memory_order_relaxed);
@@ -171,8 +169,10 @@ ScopedGemmFallbackPool::ScopedGemmFallbackPool(ThreadPool& pool) noexcept
 ScopedGemmFallbackPool::~ScopedGemmFallbackPool() { tl_gemm_fallback = prev_; }
 
 namespace detail {
-ScopedGemmGateHold::ScopedGemmGateHold() { pool_gate().lock(); }
-ScopedGemmGateHold::~ScopedGemmGateHold() { pool_gate().unlock(); }
+ScopedGemmGateHold::ScopedGemmGateHold() {
+  while (!try_acquire_gate()) std::this_thread::yield();
+}
+ScopedGemmGateHold::~ScopedGemmGateHold() { release_gate(); }
 }  // namespace detail
 
 void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool,
@@ -242,7 +242,7 @@ void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool,
       }
     }
   };
-  dispatch(mtiles * ntiles, flops, pool, tiling.grain, tile_task);
+  gemm_parallel_for(mtiles * ntiles, flops, pool, tiling.grain, tile_task);
 }
 
 Matrix gemm(const Matrix& a, const Matrix& b, ThreadPool* pool, const GemmTiling& tiling) {
@@ -277,7 +277,7 @@ void syrk_t_into(Matrix& g, const Matrix& a, ThreadPool* pool) {
       }
     }
   };
-  dispatch(pairs.size(), m * n * n, pool, 1, task);
+  gemm_parallel_for(pairs.size(), m * n * n, pool, 1, task);
 }
 
 Matrix syrk_t(const Matrix& a, ThreadPool* pool) {
@@ -314,7 +314,7 @@ Matrix gram_panel(const Matrix& a, std::span<const int> cols, ThreadPool* pool) 
       }
     }
   };
-  dispatch(chunks, m * kw * kw, pool, 1, task);
+  gemm_parallel_for(chunks, m * kw * kw, pool, 1, task);
 
   // Fixed chunk order keeps the reduction bitwise-deterministic.
   for (std::size_t t = 0; t < chunks; ++t) {
@@ -380,7 +380,7 @@ std::vector<double> apply_panel_update(Matrix& a, std::span<const int> cols, con
       partial[t * kw + j] = sumsq({out, len});
     }
   };
-  dispatch(chunks, m * kw * kw, pool, 1, task);
+  gemm_parallel_for(chunks, m * kw * kw, pool, 1, task);
 
   std::vector<double> sums(kw, 0.0);
   for (std::size_t t = 0; t < chunks; ++t) {

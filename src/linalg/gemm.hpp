@@ -10,19 +10,23 @@
 // the small problem locally, apply the accumulated orthogonal update as one
 // matrix-matrix product.
 //
-// Threading: every entry point takes an optional ThreadPool. Passing
-// nullptr runs serially; `gemm_pool()` returns a lazily created process-wide
-// pool that the Matrix operators use for large products. The shared pool is
-// guarded internally with a try-lock (ThreadPool::parallel_for is
-// single-caller); a caller-owned pool bypasses the gate entirely — passing
-// one asserts exclusive use. A loser of the gate no longer silently
-// single-threads: it first consults the calling thread's registered
-// fallback pool (ScopedGemmFallbackPool below) and only runs serially when
-// none is registered. Per-tile work writes disjoint output, so every route
-// produces bitwise-identical results; gemm_dispatch_stats() reports which
-// routes were taken.
+// Threading: every entry point takes an optional ThreadPool and runs its
+// tiles through gemm_parallel_for, the one gated parallel-for of the
+// library, which the block engine also uses to run a step's disjoint block
+// encounters at once (svd/block_jacobi.hpp). Passing nullptr runs serially;
+// `gemm_pool()` returns a lazily created process-wide pool that the Matrix
+// operators and the block engine use. The shared pool is guarded internally
+// by a try-acquire gate (ThreadPool::parallel_for is single-caller); a
+// caller-owned pool bypasses the gate entirely — passing one asserts
+// exclusive use. A loser of the gate first consults the calling thread's
+// registered fallback pool (ScopedGemmFallbackPool below) and only runs
+// serially when none is registered; a retry from the thread that already
+// holds the gate (a nested dispatch) is simply a loser. Tasks write disjoint
+// output, so every route produces bitwise-identical results;
+// gemm_dispatch_stats() reports which routes were taken.
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -56,12 +60,24 @@ struct GemmTiling {
 
 /// Process-wide pool for the matmul entry points (hardware concurrency),
 /// created on first use. See the threading note above: safe to pass from
-/// concurrent callers; losers of the internal try-lock route to the calling
+/// concurrent callers; losers of the internal gate route to the calling
 /// thread's ScopedGemmFallbackPool, or run serially when none is registered.
 ThreadPool* gemm_pool();
 
-/// Which route each BLAS-3 dispatch took (process-wide, relaxed counters).
-/// `pooled` counts parallel runs (shared-pool gate won, or a caller-owned
+/// The gated parallel-for: runs task(i) for i in [0, count) in chunks of
+/// `grain` consecutive indices. `flops` estimates the whole call's work;
+/// below an internal cutoff (2^23 flops) it runs inline, since a fork-join
+/// costs more than the work. Above it, the route order is: a caller-owned
+/// `pool` (no gate), the shared gemm_pool() when its gate is free, the
+/// thread's registered fallback pool, serial last. Every route walks the
+/// same chunk decomposition, so tasks that write disjoint output produce
+/// identical results whichever route wins. A task must not itself dispatch
+/// onto the pool it runs on; pass nullptr to nested calls.
+void gemm_parallel_for(std::size_t count, std::size_t flops, ThreadPool* pool, std::size_t grain,
+                       const std::function<void(std::size_t)>& task);
+
+/// Which route each gemm_parallel_for call took (process-wide, relaxed
+/// counters). `pooled` counts parallel runs (shared-pool gate won, or a caller-owned
 /// pool), `fallback` counts gate-contended runs rescued by a registered
 /// fallback pool, `serial` counts gate-contended runs with no fallback — the
 /// silent-degradation case the fallback mechanism exists to eliminate — and
@@ -97,7 +113,8 @@ class ScopedGemmFallbackPool {
 namespace detail {
 /// Test seam: holds the shared-pool gate for its lifetime, so tests can
 /// deterministically exercise the contended routes (fallback / serial)
-/// without racing real concurrent GEMMs. Blocks if the gate is held.
+/// without racing real concurrent GEMMs. Blocks (yielding) while another
+/// thread holds the gate.
 class ScopedGemmGateHold {
  public:
   ScopedGemmGateHold();

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/hooks.hpp"
 #include "core/registry.hpp"
 #include "linalg/blas1.hpp"
 #include "linalg/gemm.hpp"
@@ -18,45 +20,14 @@
 
 namespace treesvd {
 namespace detail {
-namespace {
 
-/// Level-2 recursion: the sequence of local pair visits of one encounter's
-/// inner passes. With an inner_ordering name the registered ordering is
-/// reused recursively over the 2b *local* positions — one SweepChain per
-/// encounter, so the local layout chains across the encounter's inner sweeps
-/// exactly as the outer driver chains block layouts — and each step's pairs
-/// are disjoint (checked by treesvd_lint's inner-recursion rule). Empty name,
-/// or an ordering that does not support 2b, falls back to the historical
-/// serial cyclic pass.
-class InnerSchedule {
- public:
-  InnerSchedule(const std::string& name, std::size_t kw) : kw_(kw) {
-    if (name.empty()) return;
-    OrderingPtr ord = make_ordering(name);  // throws for unknown names
-    if (!ord->supports(static_cast<int>(kw))) return;
-    ord_ = std::move(ord);
-    chain_.emplace(*ord_, static_cast<int>(kw));
-  }
-
-  /// Runs the next inner pass, invoking f(a, b) with local positions a < b.
-  template <typename F>
-  void pass(F&& f) {
-    if (!chain_) {
-      for (std::size_t a = 0; a < kw_; ++a)
-        for (std::size_t b = a + 1; b < kw_; ++b) f(a, b);
-      return;
-    }
-    chain_->next().for_each_pair(
-        [&](int a, int b) { f(static_cast<std::size_t>(a), static_cast<std::size_t>(b)); });
-  }
-
- private:
-  std::size_t kw_;
-  OrderingPtr ord_;
-  std::optional<SweepChain> chain_;
-};
-
-}  // namespace
+InnerSchedule::InnerSchedule(const std::string& name, std::size_t kw, int passes) : kw_(kw) {
+  if (name.empty()) return;
+  const OrderingPtr ord = make_ordering(name);  // throws for unknown names
+  if (!ord->supports(static_cast<int>(kw))) return;
+  SweepChain chain(*ord, static_cast<int>(kw));
+  for (int k = 0; k < passes; ++k) sweeps_.push_back(chain.next());
+}
 
 JacobiOptions element_options(const BlockJacobiOptions& opt) {
   JacobiOptions j;
@@ -79,13 +50,16 @@ InnerPanelStats inner_orthogonalise_elementwise(Matrix& h, Matrix* v,
                                                 const std::vector<int>& cols,
                                                 const BlockJacobiOptions& opt,
                                                 const PairKernel& kernel, NormCache* cache,
-                                                KernelCounters* plain_counters) {
-  InnerSchedule schedule(opt.inner_ordering, cols.size());
+                                                KernelCounters* plain_counters,
+                                                const InnerSchedule* schedule) {
+  std::optional<InnerSchedule> own;
+  if (schedule == nullptr)
+    schedule = &own.emplace(opt.inner_ordering, cols.size(), opt.inner_sweeps);
   InnerPanelStats stats;
   for (int sweep = 0; sweep < opt.inner_sweeps; ++sweep) {
     std::size_t pass_rot = 0;
     std::size_t pass_swap = 0;
-    schedule.pass([&](std::size_t a, std::size_t b) {
+    schedule->pass(sweep, [&](std::size_t a, std::size_t b) {
       const int i = std::min(cols[a], cols[b]);
       const int j = std::max(cols[a], cols[b]);
       const auto o = cache != nullptr ? kernel.process_cached(h, v, i, j, *cache)
@@ -143,20 +117,22 @@ void swap_gram(Matrix& g, std::size_t a, std::size_t b) {
 
 InnerPanelStats inner_orthogonalise_gram(Matrix& h, Matrix* v, const std::vector<int>& cols,
                                          const BlockJacobiOptions& opt, NormCache* cache,
-                                         KernelCounters& counters, ThreadPool* pool) {
+                                         KernelCounters& counters, ThreadPool* pool,
+                                         const InnerSchedule* schedule) {
   const std::size_t kw = cols.size();
+  std::optional<InnerSchedule> own;
+  if (schedule == nullptr) schedule = &own.emplace(opt.inner_ordering, kw, opt.inner_sweeps);
   // One Gram build per encounter: every rotate/skip/swap decision below
   // reads this small matrix, never the m-length columns.
   Matrix g = gram_panel(h, cols, pool);
   counters.add_gram_build();
   Matrix w = Matrix::identity(kw);
 
-  InnerSchedule schedule(opt.inner_ordering, kw);
   InnerPanelStats stats;
   for (int sweep = 0; sweep < opt.inner_sweeps; ++sweep) {
     std::size_t pass_rot = 0;
     std::size_t pass_swap = 0;
-    schedule.pass([&](std::size_t a, std::size_t b) {
+    schedule->pass(sweep, [&](std::size_t a, std::size_t b) {
       const GramPair gp{g(a, a), g(b, b), g(a, b)};
       const JacobiRotation rot = compute_rotation(gp, opt.tol);
       const bool want_swap = opt.sort == SortMode::kDescending && gp.app < gp.aqq;
@@ -206,9 +182,11 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   require_finite_columns(a, "block_one_sided_jacobi");
   TREESVD_REQUIRE(options.block_width >= 1, "block width must be >= 1");
   TREESVD_REQUIRE(options.inner_sweeps >= 1, "need at least one inner sweep");
-  // Validate the inner ordering name up front (unknown names throw here, not
-  // in the middle of the first encounter).
-  if (!options.inner_ordering.empty()) make_ordering(options.inner_ordering);
+  const int b = options.block_width;
+  const std::size_t kw = 2 * static_cast<std::size_t>(b);
+  // Built once per solve (unknown inner ordering names throw here, not in
+  // the middle of the first encounter) and shared by every encounter.
+  const detail::InnerSchedule schedule(options.inner_ordering, kw, options.inner_sweeps);
   const ScopedIsaOverride isa_guard(options.force_isa);
   // Built once per solve: the guards, the refresh cadence and finalize read
   // these options, and the elementwise inner solver's one PairKernel is bound
@@ -217,7 +195,6 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   const detail::PairKernel kernel(jopt);
 
   const int n = static_cast<int>(a.cols());
-  const int b = options.block_width;
 
   // Number of blocks the ordering will drive, by the drivers' padding rule;
   // the matrix is padded with zero columns to nb * b.
@@ -227,27 +204,56 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   NormCache* cp = options.cache_norms ? &st.cache : nullptr;
   KernelCounters& counters = cp != nullptr ? st.cache.counters() : st.plain_counters;
   const bool gram_mode = options.inner_mode == InnerMode::kGram;
-  ThreadPool* pool = gram_mode ? gemm_pool() : nullptr;
+  ThreadPool* pool = gemm_pool();
 
   // The outer ordering drives blocks; block k owns global columns
-  // [k*b, (k+1)*b), and a met pair's panel lists both blocks' columns.
+  // [k*b, (k+1)*b), and a met pair's panel lists both blocks' columns. Each
+  // leaf has its own panel buffer and tally slot, so a step's encounters run
+  // concurrently and are tallied after the join.
   SweepChain chain(ordering, nb);
-  std::vector<int> cols(2 * static_cast<std::size_t>(b));
-  const auto run_sweep = [&](int) {
-    detail::SweepTally tally;
-    chain.next().for_each_pair([&](int lo, int hi) {
-      for (int i = 0; i < b; ++i) {
-        cols[static_cast<std::size_t>(i)] = lo * b + i;
-        cols[static_cast<std::size_t>(b + i)] = hi * b + i;
+  const auto leaves = static_cast<std::size_t>(nb / 2);
+  std::vector<std::vector<int>> cols(leaves, std::vector<int>(kw));
+  std::vector<detail::InnerPanelStats> slots(leaves);
+  const auto encounter = [&](std::size_t leaf, int lo, int hi, ThreadPool* inner_pool) {
+    std::vector<int>& c = cols[leaf];
+    for (int i = 0; i < b; ++i) {
+      c[static_cast<std::size_t>(i)] = lo * b + i;
+      c[static_cast<std::size_t>(b + i)] = hi * b + i;
+    }
+    const detail::InnerPanelStats stats =
+        gram_mode ? detail::inner_orthogonalise_gram(st.h, st.vp(), c, options, cp, counters,
+                                                     inner_pool, &schedule)
+                  : detail::inner_orthogonalise_elementwise(st.h, st.vp(), c, options, kernel, cp,
+                                                            &st.plain_counters, &schedule);
+    slots[leaf].rotations += stats.rotations;
+    slots[leaf].swaps += stats.swaps;
+  };
+  // Work estimate of one encounter, m·(2b)² (its Gram build); a step forks
+  // only when its active encounters together clear the dispatch cutoff.
+  const std::size_t encounter_flops = st.h.rows() * kw * kw;
+  const auto run_sweep = [&]([[maybe_unused]] int sweep) {
+    const Sweep s = chain.next();
+    TREESVD_HB_SCOPED_FRAME(sweep_frame, [&] { return "block sweep " + std::to_string(sweep); });
+    for (int t = 0; t < s.steps(); ++t) {
+      const StepPairs pairs = s.step_pairs(t);
+      const std::size_t active = pairs.count();
+      TREESVD_HB_SCOPED_FRAME(step_frame, [&] { return "block step " + std::to_string(t); });
+      if (active == 1) {
+        // One level of parallelism per step: a lone encounter gets the pool
+        // for its own Gram build and applies.
+        pairs.for_each([&](int lo, int hi) { encounter(0, lo, hi, pool); });
+        continue;
       }
-      const detail::InnerPanelStats stats =
-          gram_mode ? detail::inner_orthogonalise_gram(st.h, st.vp(), cols, options, cp, counters,
-                                                       pool)
-                    : detail::inner_orthogonalise_elementwise(st.h, st.vp(), cols, options,
-                                                              kernel, cp, &st.plain_counters);
-      tally.rotations += stats.rotations;
-      tally.swaps += stats.swaps;
-    });
+      gemm_parallel_for(leaves, active * encounter_flops, pool, 1, [&](std::size_t leaf) {
+        pairs.visit(static_cast<int>(leaf),
+                    [&](int lo, int hi) { encounter(leaf, lo, hi, nullptr); });
+      });
+    }
+    detail::SweepTally tally;
+    for (detail::InnerPanelStats& slot : slots) {
+      tally.rotations += std::exchange(slot.rotations, 0);
+      tally.swaps += std::exchange(slot.swaps, 0);
+    }
     return tally;
   };
   return detail::sweep_loop(a, st, jopt, kernel.tier(), nullptr, run_sweep);

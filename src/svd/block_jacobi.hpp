@@ -20,8 +20,19 @@
 //  * kElementwise: the historical path — every inner rotation streams the
 //    full m-length columns (O(m) per rotation, memory-bound BLAS-1). Kept
 //    bitwise-identical to its pre-BLAS-3 behaviour for cross-checks.
+//
+// Threading (DESIGN.md §8): each outer step is the paper's set of disjoint
+// leaf pairs, so the driver runs the step's block encounters at once — one
+// task per leaf through gemm_parallel_for on the shared gemm_pool(), with
+// the step's work estimate active_pairs·m·(2b)² deciding whether the step
+// forks at all. An encounter reads and writes only its own 2b columns of H
+// and V, its own NormCache entries and the relaxed-atomic counters, so the
+// result is bitwise identical on every dispatch route. A step is parallel
+// either across its encounters or, when it has a single active pair, inside
+// that encounter's Gram build and applies — never both.
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "core/ordering.hpp"
@@ -97,6 +108,39 @@ struct InnerPanelStats {
 
 class PairKernel;
 
+/// Level-2 recursion: the local pair visits of an encounter's inner passes,
+/// built once per solve and shared read-only by every (concurrent)
+/// encounter. With an inner_ordering name the registered ordering is reused
+/// recursively over the 2b *local* positions: pass k is the k-th sweep of a
+/// SweepChain from the identity layout, so the local layout chains across an
+/// encounter's inner sweeps exactly as the outer driver chains block
+/// layouts, and each step's pairs are disjoint (checked by treesvd_lint's
+/// inner-recursion rule). Every encounter starts from the identity, so the
+/// passes are the same for all of them. An empty name, or an ordering that
+/// does not support 2b, falls back to the historical serial cyclic pass.
+class InnerSchedule {
+ public:
+  /// `passes` inner sweeps over `kw` local positions; unknown names throw.
+  InnerSchedule(const std::string& name, std::size_t kw, int passes);
+
+  /// Runs inner pass `k` (0 <= k < passes), invoking f(a, b) with local
+  /// positions a < b.
+  template <typename F>
+  void pass(int k, F&& f) const {
+    if (sweeps_.empty()) {
+      for (std::size_t a = 0; a < kw_; ++a)
+        for (std::size_t b = a + 1; b < kw_; ++b) f(a, b);
+      return;
+    }
+    sweeps_[static_cast<std::size_t>(k)].for_each_pair(
+        [&](int a, int b) { f(static_cast<std::size_t>(a), static_cast<std::size_t>(b)); });
+  }
+
+ private:
+  std::size_t kw_;
+  std::vector<Sweep> sweeps_;  ///< empty: cyclic
+};
+
 /// The element-level options a block solve runs under, built once per solve:
 /// the block options' tolerances, sort rule, cache cadence, guards and
 /// diagnostics, with max_sweeps = max_outer_sweeps.
@@ -106,20 +150,25 @@ JacobiOptions element_options(const BlockJacobiOptions& opt);
 /// `cols` (global column ids of h/v) with plain cyclic one-sided Jacobi,
 /// sort rule included, rotating through `kernel` (bound to
 /// element_options(opt)). This is the pre-BLAS-3 code path, unchanged.
+/// `schedule` is the solve's InnerSchedule; nullptr builds one for this
+/// call from opt.inner_ordering.
 InnerPanelStats inner_orthogonalise_elementwise(Matrix& h, Matrix* v,
                                                 const std::vector<int>& cols,
                                                 const BlockJacobiOptions& opt,
                                                 const PairKernel& kernel, NormCache* cache,
-                                                KernelCounters* plain_counters);
+                                                KernelCounters* plain_counters,
+                                                const InnerSchedule* schedule = nullptr);
 
 /// Gram inner pass: one Gram build, cyclic Jacobi sweeps on the small
 /// problem accumulating rotations and sort-swaps into W, then at most one
 /// blocked P·W apply per panel (h, and v when non-null). Keeps `cache`
 /// coherent from the apply's fused norm reduction. `pool` (nullable) spreads
-/// the Gram build and the blocked applies over row chunks.
+/// the Gram build and the blocked applies over row chunks. `schedule` as for
+/// the elementwise pass.
 InnerPanelStats inner_orthogonalise_gram(Matrix& h, Matrix* v, const std::vector<int>& cols,
                                          const BlockJacobiOptions& opt, NormCache* cache,
-                                         KernelCounters& counters, ThreadPool* pool);
+                                         KernelCounters& counters, ThreadPool* pool,
+                                         const InnerSchedule* schedule = nullptr);
 
 }  // namespace detail
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/registry.hpp"
+#include "linalg/gemm.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/symmetric_eigen.hpp"
 #include "svd/block_jacobi.hpp"
@@ -256,6 +258,144 @@ TEST(BlockJacobiBlockCount, UnsupportableCountThrowsWithPreciseRange) {
     EXPECT_NE(msg.find("n=8"), std::string::npos) << msg;
     EXPECT_NE(msg.find("block_width=4"), std::string::npos) << msg;
   }
+}
+
+// --- Step-parallel outer loop ---------------------------------------------
+//
+// 3072 x 128 at b = 16 is 8 blocks: three or four encounters per step and
+// 9.4-12.6 Mflop of estimated step work, above the 8.4 Mflop parallel
+// cutoff, so every step forks across its encounters when the shared pool's
+// gate is free.
+// Under detail::ScopedGemmGateHold every step takes the serial route instead.
+
+const Matrix& step_parallel_input() {
+  static const Matrix a = [] {
+    Rng rng(830);
+    return random_gaussian(3072, 128, rng);
+  }();
+  return a;
+}
+
+BlockJacobiOptions step_parallel_options(InnerMode mode, bool compute_v) {
+  BlockJacobiOptions opt;
+  opt.block_width = 16;
+  opt.inner_mode = mode;
+  opt.compute_v = compute_v;
+  opt.max_outer_sweeps = 1;  // route identity needs steps, not convergence
+  return opt;
+}
+
+/// Solves with the gate free and with it held, checks the routes each took,
+/// and checks the two results agree bit for bit.
+void expect_routes_identical(const Ordering& ord, const BlockJacobiOptions& opt) {
+  const Matrix& a = step_parallel_input();
+  const auto steps = static_cast<std::size_t>(ord.steps(8));
+  gemm_dispatch_stats_reset();
+  const SvdResult pooled = block_one_sided_jacobi(a, ord, opt);
+  const GemmDispatchStats free_routes = gemm_dispatch_stats();
+  // Every step of every sweep forked: no silent degradation.
+  EXPECT_GE(free_routes.pooled, steps * static_cast<std::size_t>(pooled.sweeps));
+  EXPECT_EQ(free_routes.serial, 0u);
+
+  SvdResult serial;
+  {
+    const detail::ScopedGemmGateHold hold;
+    gemm_dispatch_stats_reset();
+    serial = block_one_sided_jacobi(a, ord, opt);
+    const GemmDispatchStats held_routes = gemm_dispatch_stats();
+    EXPECT_EQ(held_routes.pooled, 0u);
+    EXPECT_GE(held_routes.serial, steps * static_cast<std::size_t>(serial.sweeps));
+  }
+  EXPECT_EQ(result_digest(pooled), result_digest(serial));
+  EXPECT_EQ(pooled.sweeps, serial.sweeps);
+  EXPECT_EQ(pooled.rotations, serial.rotations);
+  const KernelStats& kp = pooled.kernel_stats;
+  const KernelStats& ks = serial.kernel_stats;
+  EXPECT_EQ(kp.pairs, ks.pairs);
+  EXPECT_EQ(kp.dot_passes, ks.dot_passes);
+  EXPECT_EQ(kp.gram_builds, ks.gram_builds);
+  EXPECT_EQ(kp.accum_rotations, ks.accum_rotations);
+  EXPECT_EQ(kp.blocked_applies, ks.blocked_applies);
+}
+
+TEST(BlockJacobiStepParallel, PooledStepsMatchSerialStepsBitwise) {
+  for (const auto& name : ordering_names()) {
+    const auto ord = make_ordering(name);
+    if (!ord->supports(8)) continue;
+    for (const InnerMode mode : {InnerMode::kGram, InnerMode::kElementwise}) {
+      for (const bool compute_v : {true, false}) {
+        SCOPED_TRACE(name + (mode == InnerMode::kGram ? " kGram" : " kElementwise") +
+                     (compute_v ? " with V" : " without V"));
+        expect_routes_identical(*ord, step_parallel_options(mode, compute_v));
+      }
+    }
+  }
+}
+
+TEST(BlockJacobiStepParallel, SharedInnerScheduleMatchesSerialStepsBitwise) {
+  // The inner schedule is built once per solve and read by every concurrent
+  // encounter.
+  const auto ord = make_ordering("fat-tree");
+  for (const char* inner : {"round-robin", "fat-tree", "odd-even"}) {
+    for (const InnerMode mode : {InnerMode::kGram, InnerMode::kElementwise}) {
+      SCOPED_TRACE(std::string(inner) + (mode == InnerMode::kGram ? " kGram" : " kElementwise"));
+      BlockJacobiOptions opt = step_parallel_options(mode, true);
+      opt.inner_ordering = inner;
+      expect_routes_identical(*ord, opt);
+    }
+  }
+}
+
+TEST(BlockJacobiStepParallel, SmallSolveStaysInline) {
+  // 512 x 64 at b = 16: two encounters per step, about 1 Mflop — below the
+  // cutoff, so nothing forks (this is the benchmark's warm-up shape).
+  Rng rng(831);
+  const Matrix a = random_gaussian(512, 64, rng);
+  BlockJacobiOptions opt;
+  opt.block_width = 16;
+  gemm_dispatch_stats_reset();
+  const SvdResult r = block_one_sided_jacobi(a, *make_ordering("fat-tree"), opt);
+  ASSERT_TRUE(r.converged);
+  const GemmDispatchStats s = gemm_dispatch_stats();
+  EXPECT_EQ(s.pooled, 0u);
+  EXPECT_EQ(s.fallback, 0u);
+  EXPECT_EQ(s.serial, 0u);
+  EXPECT_GT(s.inline_small, 0u);
+}
+
+TEST(BlockJacobiInnerSchedule, PassesReplayAFreshChainFromTheIdentity) {
+  // Pass k of the once-per-solve schedule is the k-th sweep of a chain from
+  // the identity layout: what every encounter used to build for itself.
+  using Visits = std::vector<std::pair<std::size_t, std::size_t>>;
+  constexpr int kPasses = 3;
+  for (const std::size_t kw : {4u, 8u, 16u, 32u}) {
+    Visits cyclic;
+    for (std::size_t a = 0; a < kw; ++a)
+      for (std::size_t b = a + 1; b < kw; ++b) cyclic.emplace_back(a, b);
+    std::vector<std::string> names = ordering_names({2, 4});
+    names.emplace_back();  // empty name: the cyclic pass
+    for (const auto& name : names) {
+      SCOPED_TRACE(name + " kw=" + std::to_string(kw));
+      const detail::InnerSchedule schedule(name, kw, kPasses);
+      const OrderingPtr ord = name.empty() ? nullptr : make_ordering(name);
+      std::optional<SweepChain> chain;
+      if (ord != nullptr && ord->supports(static_cast<int>(kw)))
+        chain.emplace(*ord, static_cast<int>(kw));
+      for (int k = 0; k < kPasses; ++k) {
+        Visits got;
+        schedule.pass(k, [&](std::size_t a, std::size_t b) { got.emplace_back(a, b); });
+        Visits want = cyclic;
+        if (chain) {
+          want.clear();
+          chain->next().for_each_pair([&](int a, int b) {
+            want.emplace_back(static_cast<std::size_t>(a), static_cast<std::size_t>(b));
+          });
+        }
+        EXPECT_EQ(got, want) << "pass " << k;
+      }
+    }
+  }
+  EXPECT_THROW(detail::InnerSchedule("no-such-ordering", 8, 1), std::invalid_argument);
 }
 
 TEST(Preconditioned, MatchesDirectJacobi) {
