@@ -7,7 +7,7 @@
 // (scaled residual, orthonormality defects) at unit scale and at entry
 // magnitudes near 1e+-150 where the equilibration pre-pass carries the run.
 //
-// `--json=PATH` switches to the perf-smoke mode used by CI: the same runs
+// `--json=PATH` switches to the accuracy gate CI runs: the same runs
 // with every metric asserted against its tolerance — max scaled sigma error
 // |sigma_k - ref_k| / ref_max <= 1e-10, scaled residual and orthonormality
 // defects <= 1e-12 — and written as a machine-readable BENCH_accuracy.json.

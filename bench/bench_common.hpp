@@ -1,7 +1,6 @@
 #pragma once
 // Shared helpers for the figure/claim reproduction binaries: pretty-printing
-// of ordering sweeps in the paper's notation. The BENCH_*.json perf artifacts
-// are written with the shared JSON writer (util/json.hpp).
+// of ordering sweeps in the paper's notation.
 
 #include <algorithm>
 #include <cstdio>

@@ -43,8 +43,8 @@ int derive_resolution() noexcept {
 // Baseline-tier dot/sumsq: the explicit 4-wide vector kernels lose badly at
 // default flags (the single generic-vector accumulator emulated on SSE2
 // serializes its two xmm chains, while the compiler autovectorizes the
-// four-chain scalar twins at full throughput — measured ~4x in
-// bench_c8_kernels' per-tier section). The bitwise contract makes the choice
+// four-chain scalar twins at full throughput — measured ~4x by the per-tier
+// kernel timings of commit e65dc64). The bitwise contract makes the choice
 // free, so the baseline table points these two reductions at the `_ref`
 // twins; every other baseline kernel stays on the vector copy, which wins
 // even at default flags.

@@ -1,7 +1,7 @@
 #pragma once
 // The one JSON writer: an append-only ordered object shared by the gate
-// tools' reports and the BENCH_*.json producers (no external JSON
-// dependency).
+// tools' reports and bench_a9_accuracy's BENCH_accuracy.json (no external
+// JSON dependency).
 
 #include <concepts>
 #include <string>

@@ -5,6 +5,7 @@
 // hooks inside ThreadPool / mp::World are gated on TREESVD_ANALYSIS.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <thread>
@@ -340,8 +341,12 @@ TEST(HbEndToEnd, PlantedPoolRaceIsDetectedWithBothStacks) {
   double shared = 0.0;
   pool.parallel_for(8,
                     [&](std::size_t i) {
+                      // Declared to the HB tracker as a plain write, so it
+                      // must report the race; the add itself is atomic so
+                      // TSan, which sees the real access, stays quiet.
                       TREESVD_HB_WRITE(&shared, 0, "planted shared scalar");
-                      shared += static_cast<double>(i);
+                      std::atomic_ref<double>(shared).fetch_add(static_cast<double>(i),
+                                                                std::memory_order_relaxed);
                     },
                     1);
   EXPECT_GE(t->race_count(), 1u);

@@ -119,9 +119,11 @@ TEST(Rotation, FusedSwapWithIdentityRotationIsPlainSwap) {
 
 TEST(Rotation, FusedRotateAndNormsMatchesTwoPass) {
   Rng rng(26);
-  // Sizes cover the vector main loop and every tail length.
+  // Sizes cover the vector main loop and every tail length, plus one long
+  // column pair. The rotated columns must be bitwise the two-pass ones.
   for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
-                              std::size_t{7}, std::size_t{32}, std::size_t{33}}) {
+                              std::size_t{7}, std::size_t{32}, std::size_t{33},
+                              std::size_t{512}}) {
     auto x = random_vec(n, rng);
     auto y = random_vec(n, rng);
     auto xr = x;
@@ -131,8 +133,8 @@ TEST(Rotation, FusedRotateAndNormsMatchesTwoPass) {
     const RotatedNorms rn = rotate_and_norms(x, y, c, s);
     apply_rotation(xr, yr, c, s);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_DOUBLE_EQ(x[i], xr[i]) << "n=" << n;
-      EXPECT_DOUBLE_EQ(y[i], yr[i]) << "n=" << n;
+      EXPECT_EQ(x[i], xr[i]) << "n=" << n;
+      EXPECT_EQ(y[i], yr[i]) << "n=" << n;
     }
     EXPECT_NEAR(rn.app, sumsq(xr), 1e-12 * (1.0 + rn.app)) << "n=" << n;
     EXPECT_NEAR(rn.aqq, sumsq(yr), 1e-12 * (1.0 + rn.aqq)) << "n=" << n;
@@ -142,7 +144,7 @@ TEST(Rotation, FusedRotateAndNormsMatchesTwoPass) {
 TEST(Rotation, FusedRotateAndNormsSwappedMatchesTwoPass) {
   Rng rng(27);
   for (const std::size_t n : {std::size_t{1}, std::size_t{4}, std::size_t{6}, std::size_t{31},
-                              std::size_t{64}}) {
+                              std::size_t{64}, std::size_t{512}}) {
     auto x = random_vec(n, rng);
     auto y = random_vec(n, rng);
     auto xr = x;
@@ -152,8 +154,8 @@ TEST(Rotation, FusedRotateAndNormsSwappedMatchesTwoPass) {
     const RotatedNorms rn = rotate_and_norms_swapped(x, y, c, s);
     apply_rotation_swapped(xr, yr, c, s);
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_DOUBLE_EQ(x[i], xr[i]) << "n=" << n;
-      EXPECT_DOUBLE_EQ(y[i], yr[i]) << "n=" << n;
+      EXPECT_EQ(x[i], xr[i]) << "n=" << n;
+      EXPECT_EQ(y[i], yr[i]) << "n=" << n;
     }
     EXPECT_NEAR(rn.app, sumsq(xr), 1e-12 * (1.0 + rn.app)) << "n=" << n;
     EXPECT_NEAR(rn.aqq, sumsq(yr), 1e-12 * (1.0 + rn.aqq)) << "n=" << n;

@@ -128,6 +128,12 @@ TEST(SvdServer, ServedResultsAreBitwiseDirectSolves) {
                                opt.shards);
   EXPECT_EQ(stats.latency.count(), inputs.size());
   EXPECT_LE(stats.latency.p50_ns(), stats.latency.p99_ns());
+  // A clean load trips none of the fault paths.
+  EXPECT_EQ(stats.solved, inputs.size());
+  EXPECT_EQ(stats.expired, 0u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.restarts, 0u);
   server.stop();
   EXPECT_FALSE(server.submit(inputs[0], &results[0]));  // stopped: rejected
 }
