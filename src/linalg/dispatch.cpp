@@ -1,8 +1,11 @@
 #include "linalg/dispatch.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "linalg/blas1.hpp"
 #include "linalg/dispatch_isa.hpp"
@@ -63,6 +66,8 @@ const KernelTable kTableBaseline = {
     isa_baseline::rotate_and_norms,
     isa_baseline::rotate_and_norms_swapped,
     isa_baseline::gemm_micro,
+    isa_baseline::panel_gram,
+    isa_baseline::panel_apply,
     isa_baseline::batched_dot,
     isa_baseline::batched_sumsq,
     isa_baseline::batched_gram_pair,
@@ -83,6 +88,8 @@ const KernelTable kTableAvx2 = {
     isa_avx2::rotate_and_norms,
     isa_avx2::rotate_and_norms_swapped,
     isa_avx2::gemm_micro,
+    isa_avx2::panel_gram,
+    isa_avx2::panel_apply,
     isa_avx2::batched_dot,
     isa_avx2::batched_sumsq,
     isa_avx2::batched_gram_pair,
@@ -102,6 +109,8 @@ const KernelTable kTableAvx512 = {
     isa_avx512::rotate_and_norms,
     isa_avx512::rotate_and_norms_swapped,
     isa_avx512::gemm_micro,
+    isa_avx512::panel_gram,
+    isa_avx512::panel_apply,
     isa_avx512::batched_dot,
     isa_avx512::batched_sumsq,
     isa_avx512::batched_gram_pair,
@@ -203,6 +212,33 @@ void gemm_micro_ref(const double* ap, const double* bp, std::size_t kc, double* 
     const double* __restrict bv = bp + k * 4;
     for (std::size_t r = 0; r < 4; ++r)
       for (std::size_t c = 0; c < 4; ++c) acc[r * 4 + c] += av[r] * bv[c];
+  }
+}
+
+void panel_gram_ref(const double* a, std::size_t lda, const int* cols, std::size_t kw,
+                    std::size_t len, double* g) noexcept {
+  for (std::size_t i = 0; i < kw; ++i) {
+    const std::span<const double> ci(a + static_cast<std::size_t>(cols[i]) * lda, len);
+    for (std::size_t j = i; j < kw; ++j)
+      g[i * kw + j] = dot_ref(ci, {a + static_cast<std::size_t>(cols[j]) * lda, len});
+  }
+}
+
+void panel_apply_ref(double* a, std::size_t lda, const int* cols, std::size_t kw,
+                     std::size_t len, const double* w, double* norms) {
+  std::vector<double> snap(len * kw);
+  for (std::size_t k = 0; k < kw; ++k)
+    std::memcpy(snap.data() + k * len, a + static_cast<std::size_t>(cols[k]) * lda,
+                len * sizeof(double));
+  for (std::size_t j = 0; j < kw; ++j) {
+    const std::span<double> out(a + static_cast<std::size_t>(cols[j]) * lda, len);
+    std::fill(out.begin(), out.end(), 0.0);
+    for (std::size_t k = 0; k < kw; ++k) {
+      const double wkj = w[k + j * kw];
+      if (wkj == 0.0) continue;
+      axpy_ref(wkj, {snap.data() + k * len, len}, out);
+    }
+    norms[j] = sumsq_ref(out);
   }
 }
 

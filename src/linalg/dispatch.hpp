@@ -2,8 +2,9 @@
 // Runtime CPU-dispatch layer: the single ISA-selection mechanism of the tree.
 //
 // Every hot kernel — the single-problem pair kernels (dot, sumsq, axpy,
-// gram_pair, the fused rotate_and_norms pair, the GEMM micro-kernel) and the
-// batched SoA lane-block kernels (blas1.hpp) — exists in one copy per
+// gram_pair, the fused rotate_and_norms pair, the GEMM micro-kernel), the
+// block-Jacobi panel kernels (panel_gram, panel_apply) and the batched SoA
+// lane-block kernels (blas1.hpp) — exists in one copy per
 // instruction-set tier, compiled from the same width-templated sources in
 // per-ISA translation units (kernels_baseline.cpp / kernels_avx2.cpp /
 // kernels_avx512.cpp, each with -ffp-contract=off). This header exposes the
@@ -15,6 +16,12 @@
 // accumulation chains of the scalar `_ref` twins (no FMA contraction, no
 // reassociation), so tier selection is purely a throughput decision —
 // results, convergence behaviour and determinism digests never depend on it.
+// The chain canon: dot/sumsq/gram_pair keep four mod-4 chains per result,
+// tail into chain 0, combine (c0 + c1) + (c2 + c3); axpy and the GEMM
+// micro-kernel keep one k-ordered chain per output element; the panel
+// kernels reuse these per entry (panel_gram: one dot per Gram entry;
+// panel_apply: one axpy chain per output element, one sumsq per stored
+// column). kernels_single_impl.inc lists every kernel's canon.
 //
 // Tier resolution order: set_isa_override() (strongest; used by the
 // JacobiOptions/BlockJacobiOptions/BatchedSvdOptions `force_isa` knob and by
@@ -66,6 +73,15 @@ struct KernelTable {
   /// GEMM register micro-kernel: acc (mr x nr, row-major) += Ap · Bp over
   /// depth kc, with the packed-panel layout of linalg/gemm.cpp (mr = nr = 4).
   void (*gemm_micro)(const double* ap, const double* bp, std::size_t kc, double* acc);
+  /// Block-Jacobi panel kernels over one row chunk of a gathered panel
+  /// (linalg/gemm.cpp): panel column c starts at a + cols[c] * lda.
+  /// panel_gram writes g[i * kw + j] = dot(column i, column j) over len rows
+  /// for j >= i; panel_apply overwrites the panel with P·W (W kw x kw,
+  /// column-major) and writes norms[j] = the squared norm of stored column j.
+  void (*panel_gram)(const double* a, std::size_t lda, const int* cols, std::size_t kw,
+                     std::size_t len, double* g);
+  void (*panel_apply)(double* a, std::size_t lda, const int* cols, std::size_t kw,
+                      std::size_t len, const double* w, double* norms);
 
   // Batched SoA lane-block kernels (blas1.hpp semantics). `w` must be a
   // positive multiple of 4; the per-tier wrappers pick the lane group width.
@@ -142,7 +158,21 @@ class ScopedIsaOverride {
 /// dispatched kernels' twins live next to their families (dot_ref /
 /// sumsq_ref / axpy_ref / gram_pair_ref in blas1.hpp,
 /// rotate_and_norms_ref[_swapped] in rotation.hpp, batched_*_ref in
-/// blas1.hpp).
+/// blas1.hpp), except the panel twins below.
 void gemm_micro_ref(const double* ap, const double* bp, std::size_t kc, double* acc) noexcept;
+
+/// Scalar twin of KernelTable::panel_gram: one dot_ref per upper-triangle
+/// entry — four mod-4 chains, tail rows into chain 0, combine
+/// (c0 + c1) + (c2 + c3).
+void panel_gram_ref(const double* a, std::size_t lda, const int* cols, std::size_t kw,
+                    std::size_t len, double* g) noexcept;
+
+/// Scalar twin of KernelTable::panel_apply: the historical composition —
+/// snapshot the chunk, then per output column a zero fill, one axpy_ref per
+/// nonzero w(k, j) in k order, and sumsq_ref of the stored column. The
+/// dispatched copies match it bitwise on finite panels (see the zero-skip
+/// note in kernels_single_impl.inc).
+void panel_apply_ref(double* a, std::size_t lda, const int* cols, std::size_t kw,
+                     std::size_t len, const double* w, double* norms);
 
 }  // namespace treesvd

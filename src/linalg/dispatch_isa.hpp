@@ -33,6 +33,10 @@ namespace treesvd {
   void rotate_and_norms_swapped(double* x, double* y, std::size_t n, double c, double s,       \
                                 double* xx, double* yy) noexcept;                              \
   void gemm_micro(const double* ap, const double* bp, std::size_t kc, double* acc) noexcept;   \
+  void panel_gram(const double* a, std::size_t lda, const int* cols, std::size_t kw,           \
+                  std::size_t len, double* g) noexcept;                                        \
+  void panel_apply(double* a, std::size_t lda, const int* cols, std::size_t kw,                \
+                   std::size_t len, const double* w, double* norms) noexcept;                  \
   void batched_dot(const double* x, const double* y, std::size_t m, std::size_t w,             \
                    double* out) noexcept;                                                      \
   void batched_sumsq(const double* x, std::size_t m, std::size_t w, double* out) noexcept;     \

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <thread>
 #include <utility>
@@ -297,22 +296,19 @@ Matrix gram_panel(const Matrix& a, std::span<const int> cols, ThreadPool* pool) 
 
   // Row-chunked so each chunk's K columns stay cache-resident while all
   // K(K+1)/2 partial dots are accumulated: DRAM traffic O(m*K), not O(m*K^2).
+  // The 512-row chunks and their fixed-order reduction are part of the
+  // summation order: each partial is dot()'s chain canon over one chunk.
   constexpr std::size_t kChunk = 512;
   const std::size_t chunks = (m + kChunk - 1) / kChunk;
   std::vector<double> partial(chunks * kw * kw, 0.0);
+  const auto panel_gram_k = kernels().panel_gram;
+  const double* base = a.data().data();
 
   const auto task = [&](std::size_t t) {
     TREESVD_HB_WRITE(partial.data(), t, "gram_panel partial");
     const std::size_t r0 = t * kChunk;
-    const std::size_t len = std::min(kChunk, m - r0);
-    double* __restrict part = partial.data() + t * kw * kw;
-    for (std::size_t i = 0; i < kw; ++i) {
-      const auto ci = a.col(static_cast<std::size_t>(cols[i])).subspan(r0, len);
-      for (std::size_t j = i; j < kw; ++j) {
-        const auto cj = a.col(static_cast<std::size_t>(cols[j])).subspan(r0, len);
-        part[i * kw + j] = dot(ci, cj);
-      }
-    }
+    panel_gram_k(base + r0, m, cols.data(), kw, std::min(kChunk, m - r0),
+                 partial.data() + t * kw * kw);
   };
   gemm_parallel_for(chunks, m * kw * kw, pool, 1, task);
 
@@ -346,39 +342,25 @@ std::vector<double> apply_panel_update(Matrix& a, std::span<const int> cols, con
   TREESVD_REQUIRE(w.rows() == kw && w.cols() == kw,
                   "apply_panel_update needs a K x K update for K panel columns");
   const std::size_t m = a.rows();
-  std::vector<double*> colp(kw);
-  for (std::size_t i = 0; i < kw; ++i) {
-    const int c = cols[i];
+  for (const int c : cols)
     TREESVD_REQUIRE(c >= 0 && static_cast<std::size_t>(c) < a.cols(),
                     "apply_panel_update column index out of range");
-    colp[i] = a.col(static_cast<std::size_t>(c)).data();
-  }
 
   constexpr std::size_t kChunk = 512;
   const std::size_t chunks = m == 0 ? 0 : (m + kChunk - 1) / kChunk;
   std::vector<double> partial(chunks * kw, 0.0);
+  const auto panel_apply_k = kernels().panel_apply;
+  double* base = a.data().data();
 
-  // Each chunk snapshots its rows of the whole panel, multiplies by W from
-  // the right, writes back, and reduces the new squared norms in the same
-  // L1-resident pass — each panel element is read and written once per
-  // apply, with K fused multiply-adds of compute per element.
+  // Each chunk's kernel snapshots row blocks of the whole panel, multiplies
+  // them by W from the right into register tiles, writes back, and reduces
+  // the new squared norms from the same registers — each panel element is
+  // read and written once per apply, with K multiply-adds per element.
   const auto task = [&](std::size_t t) {
     TREESVD_HB_WRITE(partial.data(), t, "panel_update partial");
     const std::size_t r0 = t * kChunk;
-    const std::size_t len = std::min(kChunk, m - r0);
-    std::vector<double> buf(len * kw);
-    for (std::size_t k = 0; k < kw; ++k)
-      std::memcpy(buf.data() + k * len, colp[k] + r0, len * sizeof(double));
-    for (std::size_t j = 0; j < kw; ++j) {
-      double* __restrict out = colp[j] + r0;
-      std::fill(out, out + len, 0.0);
-      for (std::size_t k = 0; k < kw; ++k) {
-        const double wkj = w(k, j);
-        if (wkj == 0.0) continue;
-        axpy(wkj, {buf.data() + k * len, len}, {out, len});
-      }
-      partial[t * kw + j] = sumsq({out, len});
-    }
+    panel_apply_k(base + r0, m, cols.data(), kw, std::min(kChunk, m - r0), w.data().data(),
+                  partial.data() + t * kw);
   };
   gemm_parallel_for(chunks, m * kw * kw, pool, 1, task);
 
@@ -392,7 +374,7 @@ std::vector<double> apply_panel_update(Matrix& a, std::span<const int> cols, con
   // if the true value genuinely exceeds the double range — honest overflow).
   for (std::size_t j = 0; j < kw; ++j) {
     if (std::isfinite(sums[j])) continue;
-    sums[j] = sumsq_scaled({colp[j], m}).value();
+    sums[j] = sumsq_scaled(a.col(static_cast<std::size_t>(cols[j]))).value();
   }
   return sums;
 }

@@ -7,7 +7,10 @@
 
 #include "linalg/dispatch_isa.hpp"
 
+#include <algorithm>
+
 #include "linalg/blas1.hpp"
+#include "linalg/dispatch.hpp"
 #include "linalg/rotation.hpp"
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -65,6 +68,16 @@ void rotate_and_norms_swapped(double* x, double* y, std::size_t n, double c, dou
 
 void gemm_micro(const double* ap, const double* bp, std::size_t kc, double* acc) noexcept {
   single_gemm_micro_k(ap, bp, kc, acc);
+}
+
+void panel_gram(const double* a, std::size_t lda, const int* cols, std::size_t kw,
+                std::size_t len, double* g) noexcept {
+  panel_gram_g<4, 2, 4>(a, lda, cols, kw, len, g);
+}
+
+void panel_apply(double* a, std::size_t lda, const int* cols, std::size_t kw, std::size_t len,
+                 const double* w, double* norms) noexcept {
+  panel_apply_g<4, 2, 4>(a, lda, cols, kw, len, w, norms);
 }
 
 void batched_dot(const double* x, const double* y, std::size_t m, std::size_t w,

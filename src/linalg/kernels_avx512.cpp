@@ -2,15 +2,20 @@
 // -mavx512f -ffp-contract=off (src/linalg/CMakeLists.txt) on x86-64: the
 // 64-byte vectors of the batched bodies lower to single ZMM operations, so
 // a lane width of 8 runs one full problem-group per instruction (and width
-// 16 runs two). The single-problem kernels keep their fixed 4-double
+// 16 runs two). The single-problem pair kernels keep their fixed 4-double
 // logical width (the mod-4 chain canon, see kernels_single_impl.inc) —
 // here they get EVEX encodings and the 32-register file, not extra width.
+// The panel kernels do use ZMM width: two Gram entries' chains, or eight
+// rows of an output column, per register.
 // AVX-512 brings FMA with it, hence -ffp-contract=off: fusing c*x - s*y
 // into one rounding would break the bitwise tier-invariance contract.
 
 #include "linalg/dispatch_isa.hpp"
 
+#include <algorithm>
+
 #include "linalg/blas1.hpp"
+#include "linalg/dispatch.hpp"
 #include "linalg/rotation.hpp"
 
 #if defined(__GNUC__) && !defined(__clang__)
@@ -73,6 +78,16 @@ void rotate_and_norms_swapped(double* x, double* y, std::size_t n, double c, dou
 
 void gemm_micro(const double* ap, const double* bp, std::size_t kc, double* acc) noexcept {
   single_gemm_micro_k(ap, bp, kc, acc);
+}
+
+void panel_gram(const double* a, std::size_t lda, const int* cols, std::size_t kw,
+                std::size_t len, double* g) noexcept {
+  panel_gram_g<8, 4, 8>(a, lda, cols, kw, len, g);
+}
+
+void panel_apply(double* a, std::size_t lda, const int* cols, std::size_t kw, std::size_t len,
+                 const double* w, double* norms) noexcept {
+  panel_apply_g<8, 4, 4>(a, lda, cols, kw, len, w, norms);
 }
 
 // w == 4 has no 8-lane group; it takes the 4-lane template, which these

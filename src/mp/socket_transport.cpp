@@ -877,6 +877,8 @@ struct ChildMon {
   bool killed_frame = false;   ///< planned kill: kKilled arrived
   std::uint64_t kill_op = 0;
   bool external = false;       ///< died by a signal with no kKilled notice
+  bool after_abort = false;    ///< external is the launcher's own heartbeat kill, issued
+                               ///< after the abort: a casualty of the unwinding, secondary
   int ext_sig = 0;
   std::string ext_detail;
   bool has_error = false;
@@ -1107,9 +1109,12 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
       }
       // Hang detection: a rank whose heartbeat went silent is declared dead
       // and SIGKILLed — it then feeds the exact abort/respawn path a planned
-      // kill does, just with an "external" diagnosis.
+      // kill does, just with an "external" diagnosis. Once the world is
+      // aborting, a silent rank is put down the same way, but its death did
+      // not cause the abort, so it must not outrank the one that did.
       if (ms_between(m.hb, now) > cfg_.heartbeat_timeout_ms) {
         m.external = true;
+        m.after_abort = abort_sent;
         m.ext_sig = SIGKILL;
         m.ext_detail = "heartbeat silent for " +
                        std::to_string(static_cast<long>(ms_between(m.hb, now))) + " ms";
@@ -1121,13 +1126,15 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
 
   for (int r = 0; r < n; ++r) pids_[static_cast<std::size_t>(r)].store(0);
 
-  // All ranks reaped and drained. Rethrow deterministically: the lowest-rank
-  // primary failure wins; secondary WorldAbortedError unwindings surface
-  // solely when no primary exists — the in-process contract, verbatim.
+  // All ranks reaped and drained. Rethrow deterministically, as the
+  // in-process backend does: the lowest-rank primary failure wins; secondary
+  // failures (WorldAbortedError unwindings, and heartbeat kills issued after
+  // the abort) surface solely when no primary exists.
   for (int r = 0; r < n; ++r) {
     const ChildMon& m = mon[static_cast<std::size_t>(r)];
     if (m.killed_frame) throw RankKilledError(r, m.kill_op);
-    if (m.external) throw RankKilledError(RankKilledError::External{}, r, m.ext_sig, m.ext_detail);
+    if (m.external && !m.after_abort)
+      throw RankKilledError(RankKilledError::External{}, r, m.ext_sig, m.ext_detail);
     if (m.has_error && m.err_kind != kErrWorldAborted) {
       switch (m.err_kind) {
         case kErrTransport:
@@ -1143,6 +1150,7 @@ void SocketTransport::run(const std::function<void(Context&)>& program) {
   }
   for (int r = 0; r < n; ++r) {
     const ChildMon& m = mon[static_cast<std::size_t>(r)];
+    if (m.external) throw RankKilledError(RankKilledError::External{}, r, m.ext_sig, m.ext_detail);
     if (m.has_error && m.err_kind == kErrWorldAborted)
       throw WorldAbortedError("rank " + std::to_string(r) + " unwound: " + m.err_msg);
   }

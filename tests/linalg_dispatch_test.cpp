@@ -79,6 +79,8 @@ TEST_P(DispatchTierTest, TableIsFullyPopulatedAndLabelled) {
   EXPECT_NE(t.rotate_and_norms, nullptr);
   EXPECT_NE(t.rotate_and_norms_swapped, nullptr);
   EXPECT_NE(t.gemm_micro, nullptr);
+  EXPECT_NE(t.panel_gram, nullptr);
+  EXPECT_NE(t.panel_apply, nullptr);
   EXPECT_NE(t.batched_dot, nullptr);
   EXPECT_NE(t.batched_sumsq, nullptr);
   EXPECT_NE(t.batched_gram_pair, nullptr);
@@ -172,6 +174,76 @@ TEST_P(DispatchTierTest, GemmMicroKernelBitwiseMatchesRef) {
     gemm_micro_ref(ap.data(), bp.data(), kc, acc_ref.data());
     for (std::size_t i = 0; i < kMr * kNr; ++i) {
       ASSERT_TRUE(BitEq(acc_simd[i], acc_ref[i])) << "kc=" << kc << " i=" << i;
+    }
+  }
+}
+
+// Panel shapes: widths around every register-tile edge (kw % 4, kw % 8) and
+// past one 32-column Gram super-block; chunk lengths around the 4-row chain
+// groups, the 16-row vector tiles and the 512-row chunk.
+const std::size_t kPanelWidths[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 32, 33, 40};
+const std::size_t kPanelLens[] = {1, 3, 4, 15, 16, 17, 511, 512};
+
+// A gathered panel: kw of kw + 2 columns, in reverse order, of a matrix whose
+// leading dimension exceeds len (the chunk is a row window of taller columns).
+struct PanelCase {
+  std::size_t kw, len, lda;
+  std::vector<double> a;
+  std::vector<int> cols;
+};
+
+PanelCase make_panel(std::mt19937_64& rng, std::size_t kw, std::size_t len) {
+  PanelCase pc{kw, len, len + 3, {}, {}};
+  pc.a.resize(pc.lda * (kw + 2));
+  fill(rng, pc.a);
+  for (std::size_t c = 0; c < kw; ++c) pc.cols.push_back(static_cast<int>(kw + 1 - c));
+  return pc;
+}
+
+TEST_P(DispatchTierTest, PanelGramBitwiseMatchesRef) {
+  const KernelTable& t = table();
+  std::mt19937_64 rng(0x5eed0007);
+  for (std::size_t kw : kPanelWidths) {
+    for (std::size_t len : kPanelLens) {
+      const PanelCase pc = make_panel(rng, kw, len);
+      // Sentinels: the lower triangle must stay untouched by both.
+      std::vector<double> g_simd(kw * kw, -7.0), g_ref(kw * kw, -7.0);
+      t.panel_gram(pc.a.data() + 1, pc.lda, pc.cols.data(), kw, len, g_simd.data());
+      panel_gram_ref(pc.a.data() + 1, pc.lda, pc.cols.data(), kw, len, g_ref.data());
+      for (std::size_t e = 0; e < kw * kw; ++e) {
+        ASSERT_TRUE(BitEq(g_simd[e], g_ref[e])) << "kw=" << kw << " len=" << len << " entry " << e;
+      }
+    }
+  }
+}
+
+TEST_P(DispatchTierTest, PanelApplyBitwiseMatchesRef) {
+  const KernelTable& t = table();
+  std::mt19937_64 rng(0x5eed0008);
+  for (std::size_t kw : kPanelWidths) {
+    for (std::size_t len : kPanelLens) {
+      const PanelCase pc = make_panel(rng, kw, len);
+      // W with exact zeros and -0.0 scattered through it, one all-zero row
+      // (a k no output reads) and, for kw > 2, one all-zero column.
+      std::vector<double> w(kw * kw);
+      fill(rng, w);
+      for (std::size_t e = 0; e < kw * kw; ++e) {
+        if (e % 3 == 0) w[e] = 0.0;
+        if (e % 5 == 1) w[e] = -0.0;
+      }
+      for (std::size_t j = 0; j < kw; ++j) w[(kw / 2) + j * kw] = 0.0;
+      if (kw > 2)
+        for (std::size_t k = 0; k < kw; ++k) w[k + 1 * kw] = (k % 2 == 0) ? 0.0 : -0.0;
+      std::vector<double> a_simd = pc.a, a_ref = pc.a;
+      std::vector<double> n_simd(kw, -7.0), n_ref(kw, -7.0);
+      t.panel_apply(a_simd.data() + 1, pc.lda, pc.cols.data(), kw, len, w.data(), n_simd.data());
+      panel_apply_ref(a_ref.data() + 1, pc.lda, pc.cols.data(), kw, len, w.data(), n_ref.data());
+      for (std::size_t e = 0; e < a_ref.size(); ++e) {
+        ASSERT_TRUE(BitEq(a_simd[e], a_ref[e])) << "kw=" << kw << " len=" << len << " elem " << e;
+      }
+      for (std::size_t j = 0; j < kw; ++j) {
+        ASSERT_TRUE(BitEq(n_simd[j], n_ref[j])) << "kw=" << kw << " len=" << len << " norm " << j;
+      }
     }
   }
 }

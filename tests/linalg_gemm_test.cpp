@@ -6,11 +6,16 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "linalg/blas1.hpp"
+#include "linalg/dispatch.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/matrix.hpp"
@@ -207,6 +212,115 @@ TEST(ApplyPanelUpdate, ThreadedBitwiseEqualsSerial) {
   const auto s2 = apply_panel_update(a2, cols, w, &pool);
   EXPECT_EQ(a1, a2);
   EXPECT_EQ(s1, s2);
+}
+
+// --- Panel kernels pinned to the per-pair composition ---------------------
+
+// The composition gram_panel and apply_panel_update used before the panel
+// kernels: per 512-row chunk one dispatched dot per upper-triangle entry
+// (resp. a zero fill, one axpy per nonzero w(k, j) in k order and a sumsq of
+// the stored column), reduced over chunks in chunk order. The kernels must
+// reproduce it bit for bit on every tier.
+constexpr std::size_t kPanelChunk = 512;
+
+void expect_bitwise(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (std::size_t e = 0; e < want.data().size(); ++e)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.data()[e]),
+              std::bit_cast<std::uint64_t>(want.data()[e]))
+        << "element " << e;
+}
+
+Matrix gram_per_pair_dots(const Matrix& a, const std::vector<int>& cols) {
+  const std::size_t kw = cols.size();
+  const std::size_t m = a.rows();
+  Matrix g(kw, kw);
+  for (std::size_t r0 = 0; r0 < m; r0 += kPanelChunk) {
+    const std::size_t len = std::min(kPanelChunk, m - r0);
+    for (std::size_t i = 0; i < kw; ++i) {
+      const auto ci = a.col(static_cast<std::size_t>(cols[i])).subspan(r0, len);
+      for (std::size_t j = i; j < kw; ++j)
+        g(i, j) += dot(ci, a.col(static_cast<std::size_t>(cols[j])).subspan(r0, len));
+    }
+  }
+  for (std::size_t i = 0; i < kw; ++i)
+    for (std::size_t j = i + 1; j < kw; ++j) g(j, i) = g(i, j);
+  return g;
+}
+
+std::vector<double> apply_per_column_axpy(Matrix& a, const std::vector<int>& cols,
+                                          const Matrix& w) {
+  const std::size_t kw = cols.size();
+  const std::size_t m = a.rows();
+  std::vector<double> sums(kw, 0.0);
+  for (std::size_t r0 = 0; r0 < m; r0 += kPanelChunk) {
+    const std::size_t len = std::min(kPanelChunk, m - r0);
+    std::vector<double> buf(len * kw);
+    for (std::size_t k = 0; k < kw; ++k) {
+      const auto src = a.col(static_cast<std::size_t>(cols[k])).subspan(r0, len);
+      std::copy(src.begin(), src.end(), buf.begin() + static_cast<std::ptrdiff_t>(k * len));
+    }
+    for (std::size_t j = 0; j < kw; ++j) {
+      const auto out = a.col(static_cast<std::size_t>(cols[j])).subspan(r0, len);
+      std::fill(out.begin(), out.end(), 0.0);
+      for (std::size_t k = 0; k < kw; ++k) {
+        const double wkj = w(k, j);
+        if (wkj == 0.0) continue;
+        axpy(wkj, {buf.data() + k * len, len}, out);
+      }
+      sums[j] += sumsq(out);
+    }
+  }
+  return sums;
+}
+
+// Every host tier, widths on and off the register tiles, heights with and
+// without a partial last chunk.
+template <class F>
+void for_each_panel_case(F&& f) {
+  for (int tier : {0, 1, 2}) {
+    const ScopedIsaOverride isa(tier);
+    for (std::size_t kw : {std::size_t{7}, std::size_t{32}, std::size_t{40}}) {
+      for (std::size_t m : {std::size_t{515}, std::size_t{2048}, std::size_t{5000}}) {
+        SCOPED_TRACE(std::string(isa_name(resolved_isa())) + " kw=" + std::to_string(kw) +
+                     " m=" + std::to_string(m));
+        f(kw, m);
+      }
+    }
+  }
+}
+
+TEST(GramPanel, BitwiseMatchesPerPairDots) {
+  for_each_panel_case([](std::size_t kw, std::size_t m) {
+    Rng rng(53 + kw + m);
+    const Matrix a = random_matrix(m, kw + 5, rng);
+    std::vector<int> cols(kw);
+    for (std::size_t i = 0; i < kw; ++i) cols[i] = static_cast<int>(kw + 4 - i);
+    expect_bitwise(gram_panel(a, cols), gram_per_pair_dots(a, cols));
+  });
+}
+
+TEST(ApplyPanelUpdate, BitwiseMatchesPerColumnAxpy) {
+  for_each_panel_case([](std::size_t kw, std::size_t m) {
+    Rng rng(54 + kw + m);
+    Matrix a1 = random_matrix(m, kw + 3, rng);
+    Matrix a2 = a1;
+    std::vector<int> cols(kw);
+    for (std::size_t i = 0; i < kw; ++i) cols[i] = static_cast<int>(kw + 2 - i);
+    // Exact zeros and -0.0, as an accumulated rotation leaves them.
+    Matrix w = random_matrix(kw, kw, rng);
+    for (std::size_t e = 0; e < w.data().size(); ++e) {
+      if (e % 4 == 1) w.data()[e] = 0.0;
+      if (e % 7 == 3) w.data()[e] = -0.0;
+    }
+    const std::vector<double> s1 = apply_panel_update(a1, cols, w);
+    const std::vector<double> s2 = apply_per_column_axpy(a2, cols, w);
+    expect_bitwise(a1, a2);
+    ASSERT_EQ(s1.size(), s2.size());
+    for (std::size_t j = 0; j < kw; ++j)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(s1[j]), std::bit_cast<std::uint64_t>(s2[j])) << j;
+  });
 }
 
 // --- Dispatch routing: shared-pool gate, fallback pool, stats ------------

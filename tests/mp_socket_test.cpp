@@ -8,6 +8,7 @@
 // live rank process surfacing as RankKilledError.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <csignal>
 #include <stdexcept>
 #include <string>
@@ -198,11 +199,19 @@ TEST(SocketBackend, ExternalSigkillSurfacesAsRankKilled) {
   rc.enabled = true;
   world.set_reliable(rc);
 
-  std::thread assassin([&world] {
+  std::atomic<bool> armed{false};
+  std::thread assassin([&world, &armed] {
+    armed.store(true, std::memory_order_release);
     long pid = 0;
     while ((pid = world.process_id(1)) == 0) std::this_thread::yield();
     ::kill(static_cast<pid_t>(pid), SIGKILL);
   });
+  // Fork only once the watcher is up and spinning. A thread caught in its
+  // start-up can hold a sanitizer runtime lock at the moment of fork(); the
+  // rank process then inherits that lock held, with no thread left to
+  // release it, and its first allocation on a new thread hangs (seen under
+  // ASan as rank 0 going silent until the heartbeat timeout).
+  while (!armed.load(std::memory_order_acquire)) std::this_thread::yield();
   try {
     world.run([](mp::Context& ctx) {
       // Enough rounds that rank 1 cannot finish before the signal lands.

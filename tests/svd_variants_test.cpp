@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -217,6 +218,30 @@ TEST(BlockJacobiGram, CacheNormsOffStillAgrees) {
   ASSERT_TRUE(ru.converged);
   for (std::size_t k = 0; k < rc.sigma.size(); ++k)
     EXPECT_NEAR(rc.sigma[k], ru.sigma[k], 1e-12 * rc.sigma[0]);
+}
+
+TEST(BlockJacobiGram, DigestIsTierInvariant) {
+  // The panel kernels (Gram build and P·W apply) have one copy per ISA tier,
+  // each reproducing the scalar chain canon; a whole kGram solve, with its
+  // partial last row chunk (700 = 512 + 188) and 32-column panels, must
+  // therefore be bit-identical whichever tier runs it.
+  Rng rng(826);
+  const Matrix a = random_gaussian(700, 96, rng);
+  BlockJacobiOptions opt;
+  opt.block_width = 16;
+  opt.inner_mode = InnerMode::kGram;
+  const auto ord = make_ordering("fat-tree");
+  std::optional<std::uint64_t> first;
+  for (int tier : {0, 1, 2}) {
+    SCOPED_TRACE(tier);
+    opt.force_isa = tier;
+    const SvdResult r = block_one_sided_jacobi(a, *ord, opt);
+    ASSERT_TRUE(r.converged);
+    EXPECT_GT(r.kernel_stats.blocked_applies, 0u);
+    const std::uint64_t d = result_digest(r);
+    if (!first) first = d;
+    EXPECT_EQ(d, *first);
+  }
 }
 
 TEST(BlockJacobiBlockCount, NonPowerOfTwoAndPaddedWidthsConverge) {
