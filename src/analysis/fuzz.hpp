@@ -38,7 +38,6 @@ struct FuzzPlan {
   std::uint64_t seed = 1;      ///< mixes into every decision
   double yield_prob = 0.5;     ///< probability a fuzz point yields at all
   int max_yields = 3;          ///< yields per firing point: 1..max_yields
-  bool permute_chunks = true;  ///< permute ThreadPool chunk claim order
 };
 
 /// Installed fuzzer handle; all methods are thread-safe and deterministic in

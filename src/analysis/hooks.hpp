@@ -109,7 +109,7 @@
 #define TREESVD_FUZZ_CHUNK_ORDER(vec, count)                        \
   do {                                                              \
     auto* f_ = ::treesvd::analysis::fuzzer();                       \
-    if (f_ != nullptr && f_->plan().permute_chunks)                 \
+    if (f_ != nullptr)                                              \
       f_->chunk_permutation((count), (vec));                        \
     else                                                            \
       (vec).clear();                                                \

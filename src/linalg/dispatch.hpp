@@ -23,18 +23,17 @@
 // panel_apply: one axpy chain per output element, one sumsq per stored
 // column). kernels_single_impl.inc lists every kernel's canon.
 //
-// Tier resolution order: set_isa_override() (strongest; used by the
-// JacobiOptions/BlockJacobiOptions/BatchedSvdOptions `force_isa` knob and by
-// benches) ▷ the TREESVD_ISA environment variable ("baseline", "avx2",
-// "avx512f") ▷ cpuid detection. A requested tier the host cannot run is
-// clamped down to the widest supported one — forcing "avx512f" on an
+// Tier resolution order: the TREESVD_ISA environment variable ("baseline",
+// "avx2", "avx512f") ▷ cpuid detection. A requested tier the host cannot run
+// is clamped down to the widest supported one — asking for "avx512f" on an
 // AVX2-only machine silently runs AVX2 (graceful fallback; the resolved
-// tier, not the requested one, is what KernelStats reports).
+// tier, not the requested one, is what KernelStats reports). No solve option
+// selects a tier: results are tier-invariant, so the choice belongs to the
+// process, not to a call.
 //
-// The override is process-wide (one relaxed atomic). Concurrent solves
-// forcing different tiers would race on it, but since results are
-// tier-invariant the race is benign — the only observable effect is which
-// equally-correct copy runs.
+// set_isa_override() / ScopedIsaOverride are the test and benchmark seam on
+// top of that order: a process-wide override (one relaxed atomic) that a
+// single-threaded harness sets around the work it wants pinned to a tier.
 
 #include <cstddef>
 #include <cstdint>
@@ -50,7 +49,8 @@ enum class IsaTier : int {
   kAvx512 = 2,    ///< 512-bit vectors, 32 registers (AVX-512F)
 };
 
-/// `force_isa` knob value meaning "no preference — env, then cpuid".
+/// set_isa_override() / ScopedIsaOverride argument meaning "no override":
+/// the tier comes from TREESVD_ISA, else cpuid.
 inline constexpr int kIsaAuto = -1;
 
 /// One tier's kernel set. All pointers are non-null on every tier (tiers a
@@ -138,8 +138,8 @@ const KernelTable& kernels_for(IsaTier tier) noexcept;
 void set_isa_override(int tier) noexcept;
 
 /// RAII tier override: forces `tier` for its lifetime (kIsaAuto is a no-op),
-/// restoring the previous resolution on destruction. The drivers wrap each
-/// solve in one of these when options.force_isa is set.
+/// restoring the previous resolution on destruction. Tests and benches use
+/// it to run the same work under each tier; no driver sets it.
 class ScopedIsaOverride {
  public:
   explicit ScopedIsaOverride(int tier) noexcept;

@@ -17,8 +17,17 @@
 namespace treesvd {
 namespace {
 
-constexpr std::size_t kMr = GemmTiling::mr;
-constexpr std::size_t kNr = GemmTiling::nr;
+/// Register micro-kernel footprint: an mr x nr accumulator tile lives in
+/// registers across the depth loop (KernelTable::gemm_micro's layout).
+constexpr std::size_t kMr = 4;
+constexpr std::size_t kNr = 4;
+
+/// Cache blocking for a generic x86-64 hierarchy: the packed A block
+/// (mc x kc ≈ 256 KiB) sits in L2, the packed B block (kc x nc ≈ 128 KiB)
+/// beside it. One task per mc x nc tile of C, handed out one at a time.
+constexpr std::size_t kMc = 128;
+constexpr std::size_t kKc = 256;
+constexpr std::size_t kNc = 64;
 
 /// Products below this many flops (2mnk) run the plain jki loop: packing
 /// buffers and tile bookkeeping cost more than the whole product.
@@ -30,21 +39,16 @@ constexpr std::size_t kParallelFlops = std::size_t{1} << 23;
 
 /// The shared pool is single-caller (ThreadPool::parallel_for keeps its
 /// batch state in member slots), so entry points race for this gate; losers
-/// route to the thread's fallback pool, or run serially, instead of
-/// corrupting the batch. A try-acquire flag, not a mutex: a retry from the
-/// thread that already holds the gate (a nested dispatch, or a test holding
-/// it through ScopedGemmGateHold) is defined and simply loses.
+/// run serially instead of corrupting the batch. A try-acquire flag, not a
+/// mutex: a retry from the thread that already holds the gate (a nested
+/// dispatch, or a test holding it through ScopedGemmGateHold) is defined and
+/// simply loses.
 std::atomic<bool> pool_gate{false};
 
 bool try_acquire_gate() noexcept { return !pool_gate.exchange(true, std::memory_order_acquire); }
 void release_gate() noexcept { pool_gate.store(false, std::memory_order_release); }
 
-/// Per-thread fallback registered by ScopedGemmFallbackPool: where a
-/// gate-contended dispatch goes instead of degrading to serial.
-thread_local ThreadPool* tl_gemm_fallback = nullptr;
-
 std::atomic<std::size_t> stat_pooled{0};
-std::atomic<std::size_t> stat_fallback{0};
 std::atomic<std::size_t> stat_serial{0};
 std::atomic<std::size_t> stat_inline{0};
 
@@ -133,13 +137,6 @@ void gemm_parallel_for(std::size_t count, std::size_t flops, ThreadPool* pool, s
     pool->parallel_for(count, task, g);
     return;
   }
-  if (tl_gemm_fallback != nullptr) {
-    // Contended shared pool, but this thread carries its own: a concurrent
-    // batch shard keeps its BLAS-3 parallel instead of single-threading.
-    stat_fallback.fetch_add(1, std::memory_order_relaxed);
-    tl_gemm_fallback->parallel_for(count, task, g);
-    return;
-  }
   stat_serial.fetch_add(1, std::memory_order_relaxed);
   run_serial();
 }
@@ -147,7 +144,6 @@ void gemm_parallel_for(std::size_t count, std::size_t flops, ThreadPool* pool, s
 GemmDispatchStats gemm_dispatch_stats() noexcept {
   GemmDispatchStats s;
   s.pooled = stat_pooled.load(std::memory_order_relaxed);
-  s.fallback = stat_fallback.load(std::memory_order_relaxed);
   s.serial = stat_serial.load(std::memory_order_relaxed);
   s.inline_small = stat_inline.load(std::memory_order_relaxed);
   return s;
@@ -155,17 +151,9 @@ GemmDispatchStats gemm_dispatch_stats() noexcept {
 
 void gemm_dispatch_stats_reset() noexcept {
   stat_pooled.store(0, std::memory_order_relaxed);
-  stat_fallback.store(0, std::memory_order_relaxed);
   stat_serial.store(0, std::memory_order_relaxed);
   stat_inline.store(0, std::memory_order_relaxed);
 }
-
-ScopedGemmFallbackPool::ScopedGemmFallbackPool(ThreadPool& pool) noexcept
-    : prev_(tl_gemm_fallback) {
-  tl_gemm_fallback = &pool;
-}
-
-ScopedGemmFallbackPool::~ScopedGemmFallbackPool() { tl_gemm_fallback = prev_; }
 
 namespace detail {
 ScopedGemmGateHold::ScopedGemmGateHold() {
@@ -174,8 +162,7 @@ ScopedGemmGateHold::ScopedGemmGateHold() {
 ScopedGemmGateHold::~ScopedGemmGateHold() { release_gate(); }
 }  // namespace detail
 
-void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool,
-               const GemmTiling& tiling) {
+void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool) {
   TREESVD_REQUIRE(a.cols() == b.rows(), "matrix product dimension mismatch");
   TREESVD_REQUIRE(c.rows() == a.rows() && c.cols() == b.cols(),
                   "gemm_into output shape mismatch");
@@ -191,11 +178,8 @@ void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool,
     return;
   }
 
-  const std::size_t mc = std::max<std::size_t>(tiling.mc, kMr);
-  const std::size_t nc = std::max<std::size_t>(tiling.nc, kNr);
-  const std::size_t kc = std::max<std::size_t>(tiling.kc, 1);
-  const std::size_t mtiles = (m + mc - 1) / mc;
-  const std::size_t ntiles = (n + nc - 1) / nc;
+  const std::size_t mtiles = (m + kMc - 1) / kMc;
+  const std::size_t ntiles = (n + kNc - 1) / kNc;
 
   // The mr x nr register micro-kernel resolves through the CPU-dispatch
   // layer once per product (one relaxed load), not once per tile: every
@@ -206,22 +190,22 @@ void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool,
 
   // One task per (row tile, column tile) of C; each task owns a disjoint
   // C tile, loops the depth blocks, and packs into its own local buffers
-  // (the redundant packing is amortised over mc*nc*kc flops per block).
+  // (the redundant packing is amortised over kMc*kNc*kKc flops per block).
   const auto tile_task = [&](std::size_t t) {
     TREESVD_HB_WRITE(&c, t, "gemm C tile");
     const std::size_t ti = t % mtiles;
     const std::size_t tj = t / mtiles;
-    const std::size_t i0 = ti * mc;
-    const std::size_t j0 = tj * nc;
-    const std::size_t mc_eff = std::min(mc, m - i0);
-    const std::size_t nc_eff = std::min(nc, n - j0);
+    const std::size_t i0 = ti * kMc;
+    const std::size_t j0 = tj * kNc;
+    const std::size_t mc_eff = std::min(kMc, m - i0);
+    const std::size_t nc_eff = std::min(kNc, n - j0);
     const std::size_t apanels = (mc_eff + kMr - 1) / kMr;
     const std::size_t bpanels = (nc_eff + kNr - 1) / kNr;
-    std::vector<double> apack(apanels * kMr * kc);
-    std::vector<double> bpack(bpanels * kNr * kc);
+    std::vector<double> apack(apanels * kMr * kKc);
+    std::vector<double> bpack(bpanels * kNr * kKc);
     std::array<double, kMr * kNr> acc;
-    for (std::size_t k0 = 0; k0 < kk; k0 += kc) {
-      const std::size_t kc_eff = std::min(kc, kk - k0);
+    for (std::size_t k0 = 0; k0 < kk; k0 += kKc) {
+      const std::size_t kc_eff = std::min(kKc, kk - k0);
       pack_a(a, i0, mc_eff, k0, kc_eff, apack.data());
       pack_b(b, k0, kc_eff, j0, nc_eff, bpack.data());
       for (std::size_t jp = 0; jp < bpanels; ++jp) {
@@ -241,12 +225,12 @@ void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool,
       }
     }
   };
-  gemm_parallel_for(mtiles * ntiles, flops, pool, tiling.grain, tile_task);
+  gemm_parallel_for(mtiles * ntiles, flops, pool, 1, tile_task);
 }
 
-Matrix gemm(const Matrix& a, const Matrix& b, ThreadPool* pool, const GemmTiling& tiling) {
+Matrix gemm(const Matrix& a, const Matrix& b, ThreadPool* pool) {
   Matrix c(a.rows(), b.cols());
-  gemm_into(c, a, b, pool, tiling);
+  gemm_into(c, a, b, pool);
   return c;
 }
 

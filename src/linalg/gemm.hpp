@@ -18,11 +18,9 @@
 // operators and the block engine use. The shared pool is guarded internally
 // by a try-acquire gate (ThreadPool::parallel_for is single-caller); a
 // caller-owned pool bypasses the gate entirely — passing one asserts
-// exclusive use. A loser of the gate first consults the calling thread's
-// registered fallback pool (ScopedGemmFallbackPool below) and only runs
-// serially when none is registered; a retry from the thread that already
-// holds the gate (a nested dispatch) is simply a loser. Tasks write disjoint
-// output, so every route produces bitwise-identical results;
+// exclusive use. A loser of the gate runs serially; a retry from the thread
+// that already holds the gate (a nested dispatch) is simply a loser. Tasks
+// write disjoint output, so every route produces bitwise-identical results;
 // gemm_dispatch_stats() reports which routes were taken.
 
 #include <cstddef>
@@ -36,52 +34,28 @@ namespace treesvd {
 
 class ThreadPool;
 
-/// Cache-blocking parameters of the tiled GEMM. The defaults target a
-/// generic x86-64 cache hierarchy (packed A block mc·kc ≈ 256 KiB in L2,
-/// packed B block kc·nc ≈ 128 KiB); they are exposed for benchmarking, not
-/// because users should need to touch them.
-struct GemmTiling {
-  std::size_t mc = 128;  ///< rows of A per packed block
-  std::size_t kc = 256;  ///< shared (inner) dimension per packed block
-  std::size_t nc = 64;   ///< columns of B per packed block
-
-  /// Scheduling grain: C tiles are handed out in chunks of this many
-  /// consecutive task indices. Threaded through *every* dispatch route —
-  /// pooled, fallback-pool, and the gate-contended serial path, which walks
-  /// the same chunk order — so which route wins the pool gate never changes
-  /// the work decomposition or its traversal order.
-  std::size_t grain = 1;
-
-  /// Register micro-kernel footprint: an mr x nr accumulator tile lives in
-  /// registers across the kc loop. Fixed at compile time.
-  static constexpr std::size_t mr = 4;
-  static constexpr std::size_t nr = 4;
-};
-
 /// Process-wide pool for the matmul entry points (hardware concurrency),
 /// created on first use. See the threading note above: safe to pass from
-/// concurrent callers; losers of the internal gate route to the calling
-/// thread's ScopedGemmFallbackPool, or run serially when none is registered.
+/// concurrent callers; losers of the internal gate run serially.
 ThreadPool* gemm_pool();
 
 /// The gated parallel-for: runs task(i) for i in [0, count) in chunks of
 /// `grain` consecutive indices. `flops` estimates the whole call's work;
 /// below an internal cutoff (2^23 flops) it runs inline, since a fork-join
 /// costs more than the work. Above it, the route order is: a caller-owned
-/// `pool` (no gate), the shared gemm_pool() when its gate is free, the
-/// thread's registered fallback pool, serial last. Every route walks the
-/// same chunk decomposition, so tasks that write disjoint output produce
-/// identical results whichever route wins. A task must not itself dispatch
+/// `pool` (no gate), the shared gemm_pool() when its gate is free, serial
+/// last. Every route walks the same chunk decomposition, so tasks that write
+/// disjoint output produce identical results whichever route wins. A task must not itself dispatch
 /// onto the pool it runs on; pass nullptr to nested calls.
 void gemm_parallel_for(std::size_t count, std::size_t flops, ThreadPool* pool, std::size_t grain,
                        const std::function<void(std::size_t)>& task);
 
 /// Which route each gemm_parallel_for call took (process-wide, relaxed
-/// counters). `pooled` counts parallel runs (shared-pool gate won, or a caller-owned
-/// pool), `fallback` counts gate-contended runs rescued by a registered
-/// fallback pool, `serial` counts gate-contended runs with no fallback — the
-/// silent-degradation case the fallback mechanism exists to eliminate — and
-/// `inline_small` counts work below the parallel threshold (or with no pool).
+/// counters). `pooled` counts parallel runs (shared-pool gate won, or a
+/// caller-owned pool), `serial` counts gate-contended runs, and
+/// `inline_small` counts work below the parallel threshold (or with no
+/// pool). No route counts into `fallback`; it reads 0 and is kept so that
+/// existing readers of the struct keep compiling.
 struct GemmDispatchStats {
   std::size_t pooled = 0;
   std::size_t fallback = 0;
@@ -91,29 +65,10 @@ struct GemmDispatchStats {
 GemmDispatchStats gemm_dispatch_stats() noexcept;
 void gemm_dispatch_stats_reset() noexcept;
 
-/// RAII registration of a per-thread fallback pool for BLAS-3 dispatch: while
-/// alive on a thread, any gemm/syrk/panel call on that thread that loses the
-/// shared-pool gate runs on this pool instead of degrading to serial. The
-/// registered pool must be exclusively owned by the registering thread (a
-/// serving shard registers its own mini pool — never a pool another caller
-/// may be driving). Nests: the previous registration is restored on
-/// destruction.
-class ScopedGemmFallbackPool {
- public:
-  explicit ScopedGemmFallbackPool(ThreadPool& pool) noexcept;
-  ~ScopedGemmFallbackPool();
-
-  ScopedGemmFallbackPool(const ScopedGemmFallbackPool&) = delete;
-  ScopedGemmFallbackPool& operator=(const ScopedGemmFallbackPool&) = delete;
-
- private:
-  ThreadPool* prev_;
-};
-
 namespace detail {
 /// Test seam: holds the shared-pool gate for its lifetime, so tests can
-/// deterministically exercise the contended routes (fallback / serial)
-/// without racing real concurrent GEMMs. Blocks (yielding) while another
+/// deterministically exercise the contended (serial) route without racing
+/// real concurrent GEMMs. Blocks (yielding) while another
 /// thread holds the gate.
 class ScopedGemmGateHold {
  public:
@@ -126,14 +81,14 @@ class ScopedGemmGateHold {
 }  // namespace detail
 
 /// C <- A·B. C must already have shape a.rows() x b.cols(); its previous
-/// contents are overwritten. Work below an internal flop threshold runs
-/// serially even when a pool is supplied.
-void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool = nullptr,
-               const GemmTiling& tiling = {});
+/// contents are overwritten. The cache blocking is fixed (packed A blocks of
+/// 128 x 256, packed B blocks of 256 x 64, a 4 x 4 register micro-kernel).
+/// Work below an internal flop threshold runs serially even when a pool is
+/// supplied.
+void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool = nullptr);
 
 /// Convenience allocating form of gemm_into.
-Matrix gemm(const Matrix& a, const Matrix& b, ThreadPool* pool = nullptr,
-            const GemmTiling& tiling = {});
+Matrix gemm(const Matrix& a, const Matrix& b, ThreadPool* pool = nullptr);
 
 /// G <- AᵀA (symmetric n x n Gram matrix of A's columns). Only the upper
 /// triangle is computed; the lower triangle is mirrored.

@@ -175,10 +175,6 @@ void BatchedSvd::solve_into(std::span<const Matrix* const> inputs,
                     "BatchedSvd input shape mismatch");
     require_finite_columns(*a, "batched_svd");
   }
-  // Same per-solve tier override as the sequential drivers; the batched and
-  // single-problem paths then report the same resolved tier in KernelStats
-  // (one process-wide dispatch resolution, linalg/dispatch.hpp).
-  const ScopedIsaOverride isa_guard(options_.jacobi.force_isa);
   const std::size_t w = options_.lane_width;
   const std::size_t nshards = (inputs.size() + w - 1) / w;
   reserve(inputs.size());
@@ -336,11 +332,7 @@ void BatchedSvd::process_pair_cached(Shard& sh, int i, int j) {
   // path, and the sqrt/divide-heavy decision math runs batched too (the
   // drift gate and rotation decisions below) — only the rare recovery paths
   // gather a lane and fall back to the scalar kernels.
-  if (options_.use_simd) {
-    batched_dot(x, y, m, w, sh.apq.data());
-  } else {
-    batched_dot_ref(x, y, m, w, sh.apq.data());
-  }
+  batched_dot(x, y, m, w, sh.apq.data());
 
   // Common case: every lane's dot is finite and both cached norms are
   // plausible, so the per-lane loads collapse to two row copies plus one
@@ -381,13 +373,8 @@ void BatchedSvd::process_pair_cached(Shard& sh, int i, int j) {
     }
   }
 
-  if (options_.use_simd) {
-    batched_drift_gate(sh.app.data(), sh.aqq.data(), sh.apq.data(), w, jo.tol,
-                       detail::kNormDriftGuard, sh.near.data());
-  } else {
-    detail::batched_drift_gate_scalar(sh.app.data(), sh.aqq.data(), sh.apq.data(), w, jo.tol,
-                                      detail::kNormDriftGuard, sh.near.data());
-  }
+  batched_drift_gate(sh.app.data(), sh.aqq.data(), sh.apq.data(), w, jo.tol,
+                     detail::kNormDriftGuard, sh.near.data());
   std::uint8_t any8 = 0;
   for (std::size_t b = 0; b < sh.count; ++b)
     any8 = static_cast<std::uint8_t>(any8 | (sh.near[b] & sh.active[b]));
@@ -398,13 +385,8 @@ void BatchedSvd::process_pair_cached(Shard& sh, int i, int j) {
     // covers every such lane (lane b equals the sequential path's unscaled
     // sumsq bitwise); the dlassq-style retry on a non-finite sum gathers the
     // lane, completing sumsq_robust's exact fast-path/fallback split.
-    if (options_.use_simd) {
-      batched_sumsq(x, m, w, sh.norm_x.data());
-      batched_sumsq(y, m, w, sh.norm_y.data());
-    } else {
-      batched_sumsq_ref(x, m, w, sh.norm_x.data());
-      batched_sumsq_ref(y, m, w, sh.norm_y.data());
-    }
+    batched_sumsq(x, m, w, sh.norm_x.data());
+    batched_sumsq(y, m, w, sh.norm_y.data());
     for (std::size_t b = 0; b < sh.count; ++b) {
       if (sh.active[b] == 0 || sh.near[b] == 0) continue;
       double app = sh.norm_x[b];
@@ -423,13 +405,8 @@ void BatchedSvd::process_pair_cached(Shard& sh, int i, int j) {
     }
   }
 
-  if (options_.use_simd) {
-    batched_compute_rotation(sh.app.data(), sh.aqq.data(), sh.apq.data(), w, jo.tol,
-                             sh.c.data(), sh.s.data(), sh.ident.data());
-  } else {
-    detail::batched_compute_rotation_scalar(sh.app.data(), sh.aqq.data(), sh.apq.data(), w,
-                                            jo.tol, sh.c.data(), sh.s.data(), sh.ident.data());
-  }
+  batched_compute_rotation(sh.app.data(), sh.aqq.data(), sh.apq.data(), w, jo.tol,
+                           sh.c.data(), sh.s.data(), sh.ident.data());
 
   // Whole-row writeback: active lanes store the (possibly re-reduced) norms
   // — the sequential cache.set calls do the same — while retired lanes write
@@ -459,13 +436,8 @@ void BatchedSvd::process_pair_cached(Shard& sh, int i, int j) {
   }
   if (!any_rot) return;
 
-  if (options_.use_simd) {
-    batched_rotate_and_norms(x, y, m, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                             sh.swap_mask.data(), sh.app.data(), sh.aqq.data());
-  } else {
-    batched_rotate_and_norms_ref(x, y, m, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                                 sh.swap_mask.data(), sh.app.data(), sh.aqq.data());
-  }
+  batched_rotate_and_norms(x, y, m, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
+                           sh.swap_mask.data(), sh.app.data(), sh.aqq.data());
   for (std::size_t b = 0; b < sh.count; ++b) {
     if (sh.rot_mask[b] == 0) continue;
     sh.cache[static_cast<std::size_t>(i) * w + b] = sh.app[b];
@@ -474,13 +446,8 @@ void BatchedSvd::process_pair_cached(Shard& sh, int i, int j) {
   if (jo.compute_v) {
     double* vx = sh.v.data() + static_cast<std::size_t>(i) * np * w;
     double* vy = sh.v.data() + static_cast<std::size_t>(j) * np * w;
-    if (options_.use_simd) {
-      batched_apply_rotation(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                             sh.swap_mask.data());
-    } else {
-      batched_apply_rotation_ref(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                                 sh.swap_mask.data());
-    }
+    batched_apply_rotation(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
+                           sh.swap_mask.data());
   }
 }
 
@@ -491,19 +458,10 @@ void BatchedSvd::process_pair_plain(Shard& sh, int i, int j) {
   const JacobiOptions& jo = options_.jacobi;
   double* x = sh.h.data() + static_cast<std::size_t>(i) * m * w;
   double* y = sh.h.data() + static_cast<std::size_t>(j) * m * w;
-  if (options_.use_simd) {
-    batched_gram_pair(x, y, m, w, sh.app.data(), sh.aqq.data(), sh.apq.data());
-  } else {
-    batched_gram_pair_ref(x, y, m, w, sh.app.data(), sh.aqq.data(), sh.apq.data());
-  }
+  batched_gram_pair(x, y, m, w, sh.app.data(), sh.aqq.data(), sh.apq.data());
 
-  if (options_.use_simd) {
-    batched_compute_rotation(sh.app.data(), sh.aqq.data(), sh.apq.data(), w, jo.tol,
-                             sh.c.data(), sh.s.data(), sh.ident.data());
-  } else {
-    detail::batched_compute_rotation_scalar(sh.app.data(), sh.aqq.data(), sh.apq.data(), w,
-                                            jo.tol, sh.c.data(), sh.s.data(), sh.ident.data());
-  }
+  batched_compute_rotation(sh.app.data(), sh.aqq.data(), sh.apq.data(), w, jo.tol,
+                           sh.c.data(), sh.s.data(), sh.ident.data());
 
   std::fill(sh.rot_mask.begin(), sh.rot_mask.end(), 0);
   std::fill(sh.swap_mask.begin(), sh.swap_mask.end(), 0);
@@ -527,23 +485,13 @@ void BatchedSvd::process_pair_plain(Shard& sh, int i, int j) {
   }
   if (!any_rot) return;
 
-  if (options_.use_simd) {
-    batched_apply_rotation(x, y, m, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                           sh.swap_mask.data());
-  } else {
-    batched_apply_rotation_ref(x, y, m, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                               sh.swap_mask.data());
-  }
+  batched_apply_rotation(x, y, m, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
+                         sh.swap_mask.data());
   if (jo.compute_v) {
     double* vx = sh.v.data() + static_cast<std::size_t>(i) * np * w;
     double* vy = sh.v.data() + static_cast<std::size_t>(j) * np * w;
-    if (options_.use_simd) {
-      batched_apply_rotation(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                             sh.swap_mask.data());
-    } else {
-      batched_apply_rotation_ref(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
-                                 sh.swap_mask.data());
-    }
+    batched_apply_rotation(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
+                           sh.swap_mask.data());
   }
 }
 
@@ -556,11 +504,7 @@ void BatchedSvd::scheduled_cache_refresh(Shard& sh) {
   // retry gathered per lane on a non-finite sum (== sumsq_robust per lane).
   for (std::size_t j = 0; j < np; ++j) {
     const double* col = sh.h.data() + j * m * w;
-    if (options_.use_simd) {
-      batched_sumsq(col, m, w, sh.app.data());
-    } else {
-      batched_sumsq_ref(col, m, w, sh.app.data());
-    }
+    batched_sumsq(col, m, w, sh.app.data());
     for (std::size_t b = 0; b < sh.count; ++b) {
       if (sh.active[b] == 0) continue;
       double v = sh.app[b];
@@ -613,9 +557,7 @@ void BatchedSvd::finalize_shard(Shard& sh, std::span<const Matrix* const> inputs
     partial.swaps = sh.swaps[b];
     partial.kernel_stats = sh.stats[b];
     // Matches the sequential driver's report bit-for-bit: the tier is the
-    // process-wide resolution, whether the lane kernels ran vectorized or on
-    // the gather + scalar reference path (use_simd == false) — both are
-    // served from the same dispatch table.
+    // process-wide resolution the lane kernels ran under.
     partial.kernel_stats.isa_tier = static_cast<int>(kernels().tier);
     *results[b] = detail::finalize(std::move(hb), std::move(vb), *inputs[b], jo, sh.guards[b],
                                    std::move(partial));

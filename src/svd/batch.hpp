@@ -16,7 +16,9 @@
 // working matrix is a structure-of-arrays arena: column j is a lane block of
 // m rows × lane_width lanes, element (i, j) of problem b at
 // h[(j*m + i)*lane_width + b]. V is stored the same way. The batched BLAS-1
-// kernels (linalg/blas1.hpp) reduce and rotate whole lane blocks.
+// kernels (linalg/blas1.hpp) reduce and rotate whole lane blocks, at the
+// process's dispatch tier (linalg/dispatch.hpp: TREESVD_ISA, else cpuid).
+// Their scalar `_ref` twins are test references, not an engine mode.
 //
 // Contracts.
 //  * Bitwise sequential equivalence: result b equals
@@ -69,10 +71,6 @@ struct BatchedSvdOptions {
   /// Problems per SIMD shard: 4, 8 or 16 (multiples of blas1's kBatchLanes
   /// with a vectorized kernel instantiation).
   std::size_t lane_width = 8;
-  /// When false, every lane-block kernel takes the scalar reference path
-  /// (gather + exact scalar kernel). Results are bitwise identical either
-  /// way; the switch exists for cross-checks and triage.
-  bool use_simd = true;
 };
 
 class BatchedSvd {

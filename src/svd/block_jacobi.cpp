@@ -42,7 +42,6 @@ JacobiOptions element_options(const BlockJacobiOptions& opt) {
   j.watchdog_sweeps = opt.watchdog_sweeps;
   j.stall_window = opt.stall_window;
   j.full_diagnostics = opt.full_diagnostics;
-  j.force_isa = opt.force_isa;
   return j;
 }
 
@@ -187,7 +186,6 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   // Built once per solve (unknown inner ordering names throw here, not in
   // the middle of the first encounter) and shared by every encounter.
   const detail::InnerSchedule schedule(options.inner_ordering, kw, options.inner_sweeps);
-  const ScopedIsaOverride isa_guard(options.force_isa);
   // Built once per solve: the guards, the refresh cadence and finalize read
   // these options, and the elementwise inner solver's one PairKernel is bound
   // to them.

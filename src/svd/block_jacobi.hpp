@@ -88,8 +88,6 @@ struct BlockJacobiOptions {
   /// that does not support 2b columns also falls back to cyclic. Unknown
   /// names throw std::invalid_argument.
   std::string inner_ordering;
-  /// CPU-dispatch tier for this solve; see JacobiOptions::force_isa.
-  int force_isa = kIsaAuto;
 };
 
 /// Block one-sided Jacobi SVD of an m x n matrix (m >= n) with the given

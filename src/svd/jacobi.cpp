@@ -37,9 +37,7 @@ SvdResult elementwise_jacobi(const Matrix& a, const Ordering* ordering, ThreadPo
                   std::string(who) + " expects m >= n >= 2");
   require_finite_columns(a, who);
   // Level 0 of the engine hierarchy: one PairKernel, bound once to the
-  // resolved dispatch table (after the per-solve tier override), drives every
-  // pair of the run.
-  const ScopedIsaOverride isa_guard(options.force_isa);
+  // resolved dispatch table, drives every pair of the run.
   const PairKernel kernel(options);
   const int n = ordering != nullptr ? padded_width(*ordering, static_cast<int>(a.cols()))
                                     : static_cast<int>(a.cols());

@@ -73,14 +73,6 @@ struct JacobiOptions {
   /// defects; an extra O(mn^2)) even when the run converged. They are always
   /// computed for non-converged runs.
   bool full_diagnostics = false;
-  /// CPU-dispatch tier for this solve (linalg/dispatch.hpp): kIsaAuto keeps
-  /// the process-wide resolution (TREESVD_ISA env, else cpuid); an IsaTier
-  /// value cast to int forces that tier, clamped down to what the host
-  /// supports. Results are bitwise identical on every tier — this knob is
-  /// for benchmarking and for pinning a tier in tests. The override is
-  /// process-wide for the duration of the solve (see dispatch.hpp on the
-  /// benign-race caveat for concurrent solves forcing different tiers).
-  int force_isa = kIsaAuto;
 };
 
 struct SvdResult {

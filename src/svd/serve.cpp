@@ -8,11 +8,9 @@
 
 #include "analysis/hooks.hpp"
 #include "core/registry.hpp"
-#include "linalg/gemm.hpp"
 #include "svd/recovery.hpp"
 #include "util/hash.hpp"
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace treesvd {
 namespace {
@@ -137,6 +135,7 @@ struct SvdServer::Shard {
 SvdServer::SvdServer(const Ordering& ordering, const ServeOptions& options)
     : options_(options), ordering_name_(ordering.name()) {
   TREESVD_REQUIRE(options_.shards >= 1, "SvdServer needs at least one shard");
+  TREESVD_REQUIRE(options_.queue_capacity >= 1, "SvdServer needs queue_capacity >= 1");
   high_watermark_ = options_.high_watermark != 0
                         ? options_.high_watermark
                         : options_.shards * options_.queue_capacity;
@@ -159,8 +158,7 @@ void SvdServer::start() {
   threads_.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s)
     threads_.emplace_back([this, s] { shard_loop(s); });
-  if (options_.supervisor.enabled)
-    supervisor_ = std::thread([this] { supervisor_loop(); });
+  supervisor_ = std::thread([this] { supervisor_loop(); });
 }
 
 void SvdServer::stop() {
@@ -172,8 +170,8 @@ void SvdServer::stop() {
     sup_cv_.notify_all();
     supervisor_.join();
   }
-  // Adopt shards that died after the supervisor's last pass (or with the
-  // supervisor disabled): collect their in-flight requests for the drain.
+  // Adopt shards that died after the supervisor's last pass: collect their
+  // in-flight requests for the drain.
   std::vector<std::pair<std::size_t, Request>> orphans;
   for (std::size_t s = 0; s < shards_.size() && s < threads_.size(); ++s) {
     Shard& sh = *shards_[s];
@@ -509,16 +507,6 @@ void SvdServer::shard_loop(std::size_t idx) {
   TREESVD_HB_SCOPED_FRAME(serve_frame, [&] { return "serve shard " + std::to_string(idx); });
   Shard& sh = *shards_[idx];
   const std::size_t max_batch = options_.batch.lane_width;
-  // Shard-owned BLAS-3 fallback: diagnostics GEMMs in finalize that lose the
-  // shared gemm_pool() gate to a sibling shard run on this pool instead of
-  // silently single-threading (see ScopedGemmFallbackPool).
-  std::unique_ptr<ThreadPool> gemm_fb;
-  std::unique_ptr<ScopedGemmFallbackPool> gemm_reg;
-  if (options_.gemm_fallback_threads > 0) {
-    gemm_fb = std::make_unique<ThreadPool>(
-        static_cast<unsigned>(options_.gemm_fallback_threads));
-    gemm_reg = std::make_unique<ScopedGemmFallbackPool>(*gemm_fb);
-  }
   maybe_stall(sh, idx);
   for (;;) {
     sh.heartbeat.fetch_add(1, std::memory_order_relaxed);

@@ -12,6 +12,10 @@
 // sequential driver bit-for-bit per lane, a problem's result does not depend
 // on which requests happened to share its batch — racy arrival order never
 // changes payloads, only latency.
+// A shard owns no other threads: GEMMs in its finalisation (the quality
+// diagnostics) go through linalg/gemm.hpp's dispatch like any caller's —
+// inline below the flop cutoff, else the shared pool when its gate is free,
+// else serial on the shard thread; every route is bitwise the same.
 //
 // Admission: submit() picks the least-loaded healthy shard (shortest
 // queue + in-flight at admission; quarantined shards are skipped). Under
@@ -68,8 +72,8 @@ namespace treesvd {
 template <typename T>
 class BoundedMpscQueue {
  public:
-  explicit BoundedMpscQueue(std::size_t capacity)
-      : buf_(capacity == 0 ? 1 : capacity), cap_(capacity == 0 ? 1 : capacity) {}
+  /// `capacity` must be at least 1 (SvdServer checks it before building one).
+  explicit BoundedMpscQueue(std::size_t capacity) : buf_(capacity), cap_(capacity) {}
 
   /// Blocks while full. Returns false (item dropped) when the queue is
   /// closed before space appears.
@@ -262,9 +266,6 @@ struct ServeFaultPlan {
 
 /// Supervisor knobs: detection cadence and the restart/quarantine budget.
 struct SupervisorOptions {
-  /// Run the supervisor thread. Off, a dead shard's in-flight and queued
-  /// requests are still completed — but only at stop()-time drain.
-  bool enabled = true;
   /// Health-check cadence.
   std::uint64_t poll_micros = 500;
   /// A shard whose heartbeat stays flat this long while it has pending or
@@ -284,14 +285,8 @@ struct ServeOptions {
   BatchedSvdOptions batch;
   /// Worker shards (one thread, one queue, one BatchedSvd each).
   std::size_t shards = 1;
-  /// Per-shard submission queue bound (backpressure threshold).
+  /// Per-shard submission queue bound (backpressure threshold); >= 1.
   std::size_t queue_capacity = 256;
-  /// Threads of the per-shard BLAS-3 fallback pool, registered via
-  /// ScopedGemmFallbackPool for the shard's lifetime: finalisation-path GEMMs
-  /// (quality diagnostics on non-converged lanes) that lose the shared
-  /// gemm_pool() gate under concurrent shards run here instead of degrading
-  /// to serial. 0 disables the registration.
-  std::size_t gemm_fallback_threads = 1;
   /// Readiness watermarks on total backlog (accepted - completed): crossing
   /// high drops ready(); falling to low restores it. 0 = auto (high:
   /// shards * queue_capacity, low: high / 2).

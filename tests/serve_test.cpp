@@ -5,14 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/registry.hpp"
+#include "linalg/gemm.hpp"
 #include "linalg/generators.hpp"
 #include "svd/determinism.hpp"
 #include "svd/jacobi.hpp"
@@ -136,6 +139,58 @@ TEST(SvdServer, ServedResultsAreBitwiseDirectSolves) {
   EXPECT_EQ(stats.restarts, 0u);
   server.stop();
   EXPECT_FALSE(server.submit(inputs[0], &results[0]));  // stopped: rejected
+}
+
+TEST(SvdServer, ZeroQueueCapacityIsRejected) {
+  // A zero-slot queue could never hold a request, and auto watermarks built
+  // on it would read every submission as overload: refused at construction.
+  const OrderingPtr ord = make_ordering("round-robin");
+  ServeOptions opt;
+  opt.rows = 8;
+  opt.cols = 6;
+  opt.queue_capacity = 0;
+  EXPECT_THROW(SvdServer(*ord, opt), std::invalid_argument);
+}
+
+TEST(SvdServer, ConcurrentShardDiagnosticsMatchDirectSolves) {
+  // At 256 x 128 each lane's residual product U·diag(σ)·Vᵀ is 2·m·n² = 2^23
+  // flops, at the GEMM dispatch cutoff, so two shards finalising at once
+  // contend for the shared pool's gate; whichever route each product takes,
+  // payloads and diagnostics must be those of a direct solve.
+  const OrderingPtr ord = make_ordering("round-robin");
+  ServeOptions opt;
+  opt.rows = 256;
+  opt.cols = 128;
+  opt.shards = 2;
+  opt.queue_capacity = 8;
+  opt.batch.lane_width = 4;
+  opt.batch.jacobi.full_diagnostics = true;
+  SvdServer server(*ord, opt);
+  server.start();
+
+  Rng rng(2027);
+  std::vector<Matrix> inputs;
+  for (int i = 0; i < 4; ++i) inputs.push_back(random_gaussian(opt.rows, opt.cols, rng));
+  std::vector<SvdResult> results(inputs.size());
+  gemm_dispatch_stats_reset();
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    ASSERT_TRUE(server.submit(inputs[i], &results[i]));
+  server.wait_idle();
+  server.stop();
+  const GemmDispatchStats routes = gemm_dispatch_stats();
+  EXPECT_GE(routes.pooled + routes.serial, inputs.size())
+      << "every lane's residual product should clear the inline cutoff";
+  EXPECT_EQ(routes.fallback, 0u);
+
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const SvdResult ref = one_sided_jacobi(inputs[i], *ord, opt.batch.jacobi);
+    ASSERT_TRUE(ref.converged) << "request " << i;
+    EXPECT_EQ(result_digest(results[i]), result_digest(ref)) << "request " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(results[i].diagnostics.scaled_residual),
+              std::bit_cast<std::uint64_t>(ref.diagnostics.scaled_residual))
+        << "request " << i;
+  }
+  EXPECT_EQ(server.stats().solved, inputs.size());
 }
 
 TEST(SvdServer, ConcurrentProducersUnderBackpressure) {

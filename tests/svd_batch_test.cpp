@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "core/registry.hpp"
 #include "linalg/blas1.hpp"
+#include "linalg/dispatch.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/rotation.hpp"
 #include "svd/batch.hpp"
@@ -115,17 +117,25 @@ TEST(BatchedSvd, EarlyRetiringLanesFreezeIndependently) {
 }
 
 TEST(BatchedSvd, SimdAndReferenceKernelsAgreeBitwise) {
+  // The lane kernels run at the process's dispatch tier; under every tier
+  // this host supports, each lane must match one sequential reference solve
+  // bit-for-bit.
   const OrderingPtr ord = make_ordering("odd-even");
   const auto inputs = gaussian_batch(8, 12, 7, 991);
-  BatchedSvdOptions simd;
-  BatchedSvdOptions ref;
-  ref.use_simd = false;
-  BatchedSvd fast(12, 7, *ord, simd);
-  BatchedSvd slow(12, 7, *ord, ref);
-  const auto rf = fast.solve({inputs.data(), inputs.size()});
-  const auto rs = slow.solve({inputs.data(), inputs.size()});
-  for (std::size_t b = 0; b < inputs.size(); ++b)
-    EXPECT_EQ(result_digest(rf[b]), result_digest(rs[b])) << "lane " << b;
+  const BatchedSvdOptions opt;
+  std::vector<std::uint64_t> want;
+  for (const Matrix& a : inputs)
+    want.push_back(result_digest(one_sided_jacobi(a, *ord, opt.jacobi)));
+  for (int tier = 0; tier <= static_cast<int>(detected_isa()); ++tier) {
+    SCOPED_TRACE(isa_name(static_cast<IsaTier>(tier)));
+    const ScopedIsaOverride pin(tier);
+    BatchedSvd engine(12, 7, *ord, opt);
+    const auto results = engine.solve({inputs.data(), inputs.size()});
+    for (std::size_t b = 0; b < inputs.size(); ++b) {
+      EXPECT_EQ(results[b].kernel_stats.isa_tier, tier) << "lane " << b;
+      EXPECT_EQ(result_digest(results[b]), want[b]) << "lane " << b;
+    }
+  }
 }
 
 TEST(BatchedSvd, UncachedPathMatchesSequential) {

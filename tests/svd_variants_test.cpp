@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/registry.hpp"
+#include "linalg/dispatch.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/generators.hpp"
 #include "linalg/symmetric_eigen.hpp"
@@ -234,7 +235,7 @@ TEST(BlockJacobiGram, DigestIsTierInvariant) {
   std::optional<std::uint64_t> first;
   for (int tier : {0, 1, 2}) {
     SCOPED_TRACE(tier);
-    opt.force_isa = tier;
+    const ScopedIsaOverride pin(tier);
     const SvdResult r = block_one_sided_jacobi(a, *ord, opt);
     ASSERT_TRUE(r.converged);
     EXPECT_GT(r.kernel_stats.blocked_applies, 0u);

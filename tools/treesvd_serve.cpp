@@ -92,7 +92,6 @@ struct ChaosConfig {
   std::size_t cols = 8;
   std::size_t requests = 96;
   std::uint64_t seed = 2026;
-  bool scalar = false;
   const Ordering* ordering = nullptr;
 };
 
@@ -162,7 +161,6 @@ LegReport run_mixed_leg(const ChaosConfig& cfg) {
   opt.shards = 2;
   opt.queue_capacity = 64;
   opt.batch.lane_width = 4;
-  opt.batch.use_simd = !cfg.scalar;
   opt.supervisor.poll_micros = 200;
   opt.supervisor.quarantine_after = 2;
   ServeFaultPlan& fp = opt.faults;
@@ -240,7 +238,6 @@ LegReport run_overload_leg(const ChaosConfig& cfg) {
   opt.shards = 1;
   opt.queue_capacity = wave;
   opt.batch.lane_width = 4;
-  opt.batch.use_simd = !cfg.scalar;
   ServeFaultPlan& fp = opt.faults;
   fp.enabled = true;
   fp.seed = cfg.seed;
@@ -325,7 +322,6 @@ LegReport run_quarantine_leg(const ChaosConfig& cfg) {
   opt.shards = 2;
   opt.queue_capacity = 64;
   opt.batch.lane_width = 4;
-  opt.batch.use_simd = !cfg.scalar;
   opt.supervisor.poll_micros = 200;
   opt.supervisor.quarantine_after = 1;
   ServeFaultPlan& fp = opt.faults;
@@ -401,7 +397,6 @@ constexpr gate::Flag kFlags[] = {
     {"requests", "512", "trace length (96 with --chaos)"},
     {"seed", "2026", "trace and fault-plan seed"},
     {"verify", "32", "served results checked against sequential solves"},
-    {"scalar", "", "use the scalar reference kernels"},
     {"chaos", "", "run the three seeded, replayed serve-chaos legs instead"},
     {"json", "", "write the report here instead of stdout"},
 };
@@ -412,7 +407,6 @@ gate::Report run_chaos(const gate::Args& args) {
   cfg.cols = static_cast<std::size_t>(args.integer("cols", 8));
   cfg.requests = static_cast<std::size_t>(args.integer("requests", 96));
   cfg.seed = static_cast<std::uint64_t>(args.integer("seed"));
-  cfg.scalar = args.has("scalar");
   gate::require(cfg.rows >= cfg.cols && cfg.cols >= 2 && cfg.requests >= 24,
                 "--chaos needs rows >= cols >= 2 and requests >= 24");
   const std::string oname = args.ordering("ordering");
@@ -453,7 +447,6 @@ gate::Report run_chaos(const gate::Args& args) {
       .add("ordering", oname)
       .add("requests", cfg.requests)
       .add("seed", cfg.seed)
-      .add("simd", !cfg.scalar)
       .add_array("legs", legs)
       .add("replay_identical", replay_identical);
   report.summary = std::to_string(legs.size()) + " serve-chaos legs, each replayed";
@@ -465,7 +458,9 @@ gate::Report run_serve(const gate::Args& args) {
   const auto cols = static_cast<std::size_t>(args.integer("cols"));
   const auto shards = static_cast<std::size_t>(args.integer("shards"));
   const auto lane_width = static_cast<std::size_t>(args.integer("lane-width"));
-  const auto queue_cap = static_cast<std::size_t>(args.integer("queue-cap"));
+  const long long queue_cap_arg = args.integer("queue-cap");
+  gate::require(queue_cap_arg >= 1, "--queue-cap must be >= 1");
+  const auto queue_cap = static_cast<std::size_t>(queue_cap_arg);
   const auto requests = static_cast<std::size_t>(args.integer("requests"));
   const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
   const auto verify = static_cast<std::size_t>(args.integer("verify"));
@@ -480,7 +475,6 @@ gate::Report run_serve(const gate::Args& args) {
   opt.shards = shards;
   opt.queue_capacity = queue_cap;
   opt.batch.lane_width = lane_width;
-  opt.batch.use_simd = !args.has("scalar");
 
   // Canned trace: `requests` seeded Gaussian problems, generated up front so
   // the replay measures the server, not the generator.
@@ -540,7 +534,6 @@ gate::Report run_serve(const gate::Args& args) {
       .add("shards", shards)
       .add("lane_width", lane_width)
       .add("queue_capacity", queue_cap)
-      .add("simd", opt.batch.use_simd)
       .add("requests", requests)
       .add("seed", seed)
       .add("elapsed_s", elapsed_s)
