@@ -39,8 +39,10 @@ int main(int argc, char** argv) {
   }
 
   Timer timer;
-  const SvdResult r = qr_preconditioned_jacobi(x, *make_ordering(name));
-  std::printf("PCA: %zu samples x %zu features, %s ordering, %.1f ms (%d Jacobi sweeps on R)\n\n",
+  // samples >= 2·features, so the default PreconditionMode::kAuto factors
+  // X = Q·R first and the Jacobi sweeps run on the features x features Rᵀ.
+  const SvdResult r = one_sided_jacobi(x, *make_ordering(name));
+  std::printf("PCA: %zu samples x %zu features, %s ordering, %.1f ms (%d Jacobi sweeps on R^T)\n\n",
               samples, features, name.c_str(), timer.millis(), r.sweeps);
 
   double total_var = 0.0;

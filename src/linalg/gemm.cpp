@@ -65,11 +65,12 @@ void gemm_naive(Matrix& c, const Matrix& a, const Matrix& b) {
   }
 }
 
-/// Packs the mc_eff x kc_eff block of `a` at (i0, k0) into row micro-panels:
-/// panel p holds rows [i0 + p*mr, i0 + (p+1)*mr), stored as mr consecutive
-/// values per k so the micro-kernel loads are contiguous. Edge rows are
-/// zero-padded (they contribute nothing and are never written back).
-void pack_a(const Matrix& a, std::size_t i0, std::size_t mc_eff, std::size_t k0,
+/// Packs the mc_eff x kc_eff block of op(a) at (i0, k0) into row
+/// micro-panels: panel p holds rows [i0 + p*mr, i0 + (p+1)*mr), stored as mr
+/// consecutive values per k so the micro-kernel loads are contiguous. Edge
+/// rows are zero-padded (they contribute nothing and are never written back).
+/// op(a) is a, or aᵀ when `trans`.
+void pack_a(const ConstBlock& a, bool trans, std::size_t i0, std::size_t mc_eff, std::size_t k0,
             std::size_t kc_eff, double* __restrict dst) {
   const std::size_t panels = (mc_eff + kMr - 1) / kMr;
   for (std::size_t p = 0; p < panels; ++p) {
@@ -77,9 +78,13 @@ void pack_a(const Matrix& a, std::size_t i0, std::size_t mc_eff, std::size_t k0,
     const std::size_t rows = std::min(kMr, i0 + mc_eff - r0);
     double* __restrict out = dst + p * kc_eff * kMr;
     for (std::size_t k = 0; k < kc_eff; ++k) {
-      const double* __restrict src = a.col(k0 + k).data() + r0;
       std::size_t r = 0;
-      for (; r < rows; ++r) out[k * kMr + r] = src[r];
+      if (trans) {
+        for (; r < rows; ++r) out[k * kMr + r] = a.p[(r0 + r) * a.ld + k0 + k];
+      } else {
+        const double* __restrict src = a.p + (k0 + k) * a.ld + r0;
+        for (; r < rows; ++r) out[k * kMr + r] = src[r];
+      }
       for (; r < kMr; ++r) out[k * kMr + r] = 0.0;
     }
   }
@@ -87,7 +92,7 @@ void pack_a(const Matrix& a, std::size_t i0, std::size_t mc_eff, std::size_t k0,
 
 /// Packs the kc_eff x nc_eff block of `b` at (k0, j0) into column
 /// micro-panels of nr columns, nr consecutive values per k, zero-padded.
-void pack_b(const Matrix& b, std::size_t k0, std::size_t kc_eff, std::size_t j0,
+void pack_b(const ConstBlock& b, std::size_t k0, std::size_t kc_eff, std::size_t j0,
             std::size_t nc_eff, double* __restrict dst) {
   const std::size_t panels = (nc_eff + kNr - 1) / kNr;
   for (std::size_t p = 0; p < panels; ++p) {
@@ -95,7 +100,7 @@ void pack_b(const Matrix& b, std::size_t k0, std::size_t kc_eff, std::size_t j0,
     const std::size_t ncols = std::min(kNr, j0 + nc_eff - c0);
     double* __restrict out = dst + p * kc_eff * kNr;
     for (std::size_t k = 0; k < kc_eff; ++k) {
-      for (std::size_t c = 0; c < ncols; ++c) out[k * kNr + c] = b(k0 + k, c0 + c);
+      for (std::size_t c = 0; c < ncols; ++c) out[k * kNr + c] = b.p[(c0 + c) * b.ld + k0 + k];
       for (std::size_t c = ncols; c < kNr; ++c) out[k * kNr + c] = 0.0;
     }
   }
@@ -162,21 +167,14 @@ ScopedGemmGateHold::ScopedGemmGateHold() {
 ScopedGemmGateHold::~ScopedGemmGateHold() { release_gate(); }
 }  // namespace detail
 
-void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool) {
-  TREESVD_REQUIRE(a.cols() == b.rows(), "matrix product dimension mismatch");
-  TREESVD_REQUIRE(c.rows() == a.rows() && c.cols() == b.cols(),
-                  "gemm_into output shape mismatch");
-  const std::size_t m = a.rows();
-  const std::size_t n = b.cols();
-  const std::size_t kk = a.cols();
-  std::fill(c.data().begin(), c.data().end(), 0.0);
+void gemm_acc(Block c, ConstBlock a, bool trans_a, ConstBlock b, bool subtract,
+              ThreadPool* pool) {
+  const std::size_t m = trans_a ? a.cols : a.rows;
+  const std::size_t kk = trans_a ? a.rows : a.cols;
+  const std::size_t n = b.cols;
+  TREESVD_REQUIRE(kk == b.rows, "matrix product dimension mismatch");
+  TREESVD_REQUIRE(c.rows == m && c.cols == n, "gemm output shape mismatch");
   if (m == 0 || n == 0 || kk == 0) return;
-
-  const std::size_t flops = 2 * m * n * kk;
-  if (flops < kNaiveFlops) {
-    gemm_naive(c, a, b);
-    return;
-  }
 
   const std::size_t mtiles = (m + kMc - 1) / kMc;
   const std::size_t ntiles = (n + kNc - 1) / kNc;
@@ -192,7 +190,7 @@ void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool) {
   // C tile, loops the depth blocks, and packs into its own local buffers
   // (the redundant packing is amortised over kMc*kNc*kKc flops per block).
   const auto tile_task = [&](std::size_t t) {
-    TREESVD_HB_WRITE(&c, t, "gemm C tile");
+    TREESVD_HB_WRITE(c.p, t, "gemm C tile");
     const std::size_t ti = t % mtiles;
     const std::size_t tj = t / mtiles;
     const std::size_t i0 = ti * kMc;
@@ -201,12 +199,12 @@ void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool) {
     const std::size_t nc_eff = std::min(kNc, n - j0);
     const std::size_t apanels = (mc_eff + kMr - 1) / kMr;
     const std::size_t bpanels = (nc_eff + kNr - 1) / kNr;
-    std::vector<double> apack(apanels * kMr * kKc);
-    std::vector<double> bpack(bpanels * kNr * kKc);
+    std::vector<double> apack(apanels * kMr * std::min(kKc, kk));
+    std::vector<double> bpack(bpanels * kNr * std::min(kKc, kk));
     std::array<double, kMr * kNr> acc;
     for (std::size_t k0 = 0; k0 < kk; k0 += kKc) {
       const std::size_t kc_eff = std::min(kKc, kk - k0);
-      pack_a(a, i0, mc_eff, k0, kc_eff, apack.data());
+      pack_a(a, trans_a, i0, mc_eff, k0, kc_eff, apack.data());
       pack_b(b, k0, kc_eff, j0, nc_eff, bpack.data());
       for (std::size_t jp = 0; jp < bpanels; ++jp) {
         const std::size_t jr = jp * kNr;
@@ -218,14 +216,30 @@ void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool) {
           micro(apack.data() + ip * kc_eff * kMr, bpack.data() + jp * kc_eff * kNr, kc_eff,
                 acc.data());
           for (std::size_t cc = 0; cc < ncols; ++cc) {
-            double* __restrict cj = c.col(j0 + jr + cc).data() + i0 + ir;
-            for (std::size_t r = 0; r < nrows; ++r) cj[r] += acc[r * kNr + cc];
+            double* __restrict cj = c.p + (j0 + jr + cc) * c.ld + i0 + ir;
+            if (subtract) {
+              for (std::size_t r = 0; r < nrows; ++r) cj[r] -= acc[r * kNr + cc];
+            } else {
+              for (std::size_t r = 0; r < nrows; ++r) cj[r] += acc[r * kNr + cc];
+            }
           }
         }
       }
     }
   };
-  gemm_parallel_for(mtiles * ntiles, flops, pool, 1, tile_task);
+  gemm_parallel_for(mtiles * ntiles, 2 * m * n * kk, pool, 1, tile_task);
+}
+
+void gemm_into(Matrix& c, const Matrix& a, const Matrix& b, ThreadPool* pool) {
+  TREESVD_REQUIRE(a.cols() == b.rows(), "matrix product dimension mismatch");
+  TREESVD_REQUIRE(c.rows() == a.rows() && c.cols() == b.cols(),
+                  "gemm_into output shape mismatch");
+  std::fill(c.data().begin(), c.data().end(), 0.0);
+  if (2 * a.rows() * b.cols() * a.cols() < kNaiveFlops) {
+    gemm_naive(c, a, b);
+    return;
+  }
+  gemm_acc(block(c), block(a), false, block(b), false, pool);
 }
 
 Matrix gemm(const Matrix& a, const Matrix& b, ThreadPool* pool) {

@@ -80,6 +80,35 @@ class ScopedGemmGateHold {
 };
 }  // namespace detail
 
+/// A strided column-major block: element (i, j) at p[j*ld + i]. A row block
+/// of a Matrix is a Block with ld = the matrix's row count.
+struct ConstBlock {
+  const double* p;
+  std::size_t rows;
+  std::size_t cols;
+  std::size_t ld;
+};
+struct Block {
+  double* p;
+  std::size_t rows;
+  std::size_t cols;
+  std::size_t ld;
+  // NOLINTNEXTLINE(google-explicit-constructor): a block reads as a const one.
+  operator ConstBlock() const noexcept { return {p, rows, cols, ld}; }
+};
+inline Block block(Matrix& a) noexcept { return {a.data().data(), a.rows(), a.cols(), a.rows()}; }
+inline ConstBlock block(const Matrix& a) noexcept {
+  return {a.data().data(), a.rows(), a.cols(), a.rows()};
+}
+
+/// C <- C + op(A)·B, or C - op(A)·B when `subtract`, on strided blocks, with
+/// op(A) = A or Aᵀ (`trans_a`). The packed tiles, the micro-kernel and the
+/// tile decomposition are gemm_into's, so the result is bitwise identical on
+/// every dispatch route and ISA tier. The compact-WY updates of linalg/qr
+/// run through this form.
+void gemm_acc(Block c, ConstBlock a, bool trans_a, ConstBlock b, bool subtract,
+              ThreadPool* pool = nullptr);
+
 /// C <- A·B. C must already have shape a.rows() x b.cols(); its previous
 /// contents are overwritten. The cache blocking is fixed (packed A blocks of
 /// 128 x 256, packed B blocks of 256 x 64, a 4 x 4 register micro-kernel).

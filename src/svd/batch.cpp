@@ -13,7 +13,6 @@
 #include "linalg/dispatch.hpp"
 #include "linalg/rotation.hpp"
 #include "svd/driver_detail.hpp"
-#include "svd/equilibrate.hpp"
 #include "svd/pair_kernel.hpp"
 #include "svd/recovery.hpp"
 #include "util/aligned.hpp"
@@ -79,8 +78,8 @@ struct BatchedSvd::Shard {
   /// (overflowed dot retry, drift-guard re-reduction, watchdog refresh):
   /// 2*m doubles.
   std::vector<double> lane_buf;
-  /// Staging matrix (m x n_p) for pack: pad + equilibrate run here with the
-  /// exact sequential-driver routines before scattering into the arena.
+  /// Staging matrix (working rows x n_p) for pack: the sequential drivers'
+  /// staging step (detail::stage) runs here before scattering into the arena.
   Matrix pack;
 
   /// Live lanes this solve (the rest are zero-filled and never active).
@@ -96,6 +95,8 @@ BatchedSvd::BatchedSvd(std::size_t rows, std::size_t cols, const Ordering& order
   TREESVD_REQUIRE(!options_.jacobi.track_off,
                   "BatchedSvd does not support track_off (per-sweep O(n^2 m) diagnostics)");
   padded_n_ = padded_width(ordering, static_cast<int>(cols_));
+  work_rows_ = detail::working_rows(rows_, cols_, options_.jacobi);
+  accumulate_v_ = detail::accumulates_v(rows_, cols_, options_.jacobi);
 
   // The sweep schedule is data-independent — orderings are position
   // procedures, and the layout evolution depends only on the previous
@@ -115,11 +116,11 @@ std::size_t BatchedSvd::capacity() const noexcept {
 
 std::unique_ptr<BatchedSvd::Shard> BatchedSvd::make_shard() const {
   const std::size_t w = options_.lane_width;
-  const std::size_t m = rows_;
+  const std::size_t m = work_rows_;
   const auto np = static_cast<std::size_t>(padded_n_);
   auto sh = std::make_unique<Shard>();
   sh->h.resize(m * np * w);
-  if (options_.jacobi.compute_v) sh->v.resize(np * np * w);
+  if (accumulate_v_) sh->v.resize(np * np * w);
   sh->cache.resize(np * w);
   sh->active.resize(w);
   sh->converged.resize(w);
@@ -207,7 +208,7 @@ void BatchedSvd::solve_single_into(const Matrix& a, SvdResult* result) {
 
 void BatchedSvd::pack_shard(Shard& sh, std::span<const Matrix* const> inputs) {
   const std::size_t w = options_.lane_width;
-  const std::size_t m = rows_;
+  const std::size_t m = work_rows_;
   const auto np = static_cast<std::size_t>(padded_n_);
   const JacobiOptions& jo = options_.jacobi;
   sh.count = inputs.size();
@@ -233,21 +234,11 @@ void BatchedSvd::pack_shard(Shard& sh, std::span<const Matrix* const> inputs) {
   }
 
   for (std::size_t b = 0; b < sh.count; ++b) {
-    const Matrix& a = *inputs[b];
+    // The sequential driver's staging step, run on the reusable staging
+    // matrix: identical content, identical ScaleStats, identical scaling
+    // and preconditioning decisions.
     Matrix& t = sh.pack;
-    // Stage = pad_columns + equilibrate of the sequential driver, run on the
-    // reusable staging matrix: identical content, identical ScaleStats,
-    // identical scaling decision.
-    for (std::size_t j = 0; j < cols_; ++j) {
-      const auto src = a.col(j);
-      const auto dst = t.col(j);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
-    for (std::size_t j = cols_; j < np; ++j) {
-      const auto dst = t.col(j);
-      std::fill(dst.begin(), dst.end(), 0.0);
-    }
-    sh.guards[b].eq = equilibrate(t, jo.equilibrate);
+    detail::stage(*inputs[b], t, jo, sh.guards[b]);
 
     // Scatter into the SoA arena; V starts as the identity per lane.
     const auto td = t.data();
@@ -256,7 +247,7 @@ void BatchedSvd::pack_shard(Shard& sh, std::span<const Matrix* const> inputs) {
       double* blk = sh.h.data() + j * m * w;
       for (std::size_t i = 0; i < m; ++i) blk[i * w + b] = src[i];
     }
-    if (jo.compute_v) {
+    if (accumulate_v_) {
       for (std::size_t j = 0; j < np; ++j) sh.v[(j * np + j) * w + b] = 1.0;
     }
     // Initial cache fill mirrors NormCache::refresh: sumsq_robust per
@@ -323,7 +314,7 @@ void BatchedSvd::iterate_shard(Shard& sh) {
 
 void BatchedSvd::process_pair_cached(Shard& sh, int i, int j) {
   const std::size_t w = options_.lane_width;
-  const std::size_t m = rows_;
+  const std::size_t m = work_rows_;
   const auto np = static_cast<std::size_t>(padded_n_);
   const JacobiOptions& jo = options_.jacobi;
   double* x = sh.h.data() + static_cast<std::size_t>(i) * m * w;
@@ -443,7 +434,7 @@ void BatchedSvd::process_pair_cached(Shard& sh, int i, int j) {
     sh.cache[static_cast<std::size_t>(i) * w + b] = sh.app[b];
     sh.cache[static_cast<std::size_t>(j) * w + b] = sh.aqq[b];
   }
-  if (jo.compute_v) {
+  if (accumulate_v_) {
     double* vx = sh.v.data() + static_cast<std::size_t>(i) * np * w;
     double* vy = sh.v.data() + static_cast<std::size_t>(j) * np * w;
     batched_apply_rotation(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
@@ -453,7 +444,7 @@ void BatchedSvd::process_pair_cached(Shard& sh, int i, int j) {
 
 void BatchedSvd::process_pair_plain(Shard& sh, int i, int j) {
   const std::size_t w = options_.lane_width;
-  const std::size_t m = rows_;
+  const std::size_t m = work_rows_;
   const auto np = static_cast<std::size_t>(padded_n_);
   const JacobiOptions& jo = options_.jacobi;
   double* x = sh.h.data() + static_cast<std::size_t>(i) * m * w;
@@ -487,7 +478,7 @@ void BatchedSvd::process_pair_plain(Shard& sh, int i, int j) {
 
   batched_apply_rotation(x, y, m, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
                          sh.swap_mask.data());
-  if (jo.compute_v) {
+  if (accumulate_v_) {
     double* vx = sh.v.data() + static_cast<std::size_t>(i) * np * w;
     double* vy = sh.v.data() + static_cast<std::size_t>(j) * np * w;
     batched_apply_rotation(vx, vy, np, w, sh.c.data(), sh.s.data(), sh.rot_mask.data(),
@@ -497,7 +488,7 @@ void BatchedSvd::process_pair_plain(Shard& sh, int i, int j) {
 
 void BatchedSvd::scheduled_cache_refresh(Shard& sh) {
   const std::size_t w = options_.lane_width;
-  const std::size_t m = rows_;
+  const std::size_t m = work_rows_;
   const auto np = static_cast<std::size_t>(padded_n_);
   // Batched analogue of NormCache::refresh for every still-active lane: the
   // fast unscaled reduction per column across lanes, with the dlassq-style
@@ -522,7 +513,7 @@ void BatchedSvd::scheduled_cache_refresh(Shard& sh) {
 
 void BatchedSvd::lane_cache_refresh(Shard& sh, std::size_t lane) {
   const std::size_t w = options_.lane_width;
-  const std::size_t m = rows_;
+  const std::size_t m = work_rows_;
   const auto np = static_cast<std::size_t>(padded_n_);
   // Watchdog-forced refresh of one lane (rare): gather each column and run
   // the exact scalar re-reduction.
@@ -536,7 +527,7 @@ void BatchedSvd::lane_cache_refresh(Shard& sh, std::size_t lane) {
 void BatchedSvd::finalize_shard(Shard& sh, std::span<const Matrix* const> inputs,
                                 std::span<SvdResult* const> results) {
   const std::size_t w = options_.lane_width;
-  const std::size_t m = rows_;
+  const std::size_t m = work_rows_;
   const auto np = static_cast<std::size_t>(padded_n_);
   const JacobiOptions& jo = options_.jacobi;
   for (std::size_t b = 0; b < sh.count; ++b) {
@@ -545,7 +536,7 @@ void BatchedSvd::finalize_shard(Shard& sh, std::span<const Matrix* const> inputs
     for (std::size_t j = 0; j < np; ++j)
       gather_lane(sh.h.data() + j * m * w, m, w, b, hb.col(j).data());
     Matrix vb;
-    if (jo.compute_v) {
+    if (accumulate_v_) {
       vb = Matrix(np, np);
       for (std::size_t j = 0; j < np; ++j)
         gather_lane(sh.v.data() + j * np * w, np, w, b, vb.col(j).data());

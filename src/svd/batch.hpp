@@ -27,8 +27,10 @@
 //    diagnostics. The batched kernels replicate the scalar kernels'
 //    accumulation orders per lane, rare paths (overflow retries, drift-guard
 //    re-reductions) gather the lane and run the exact scalar routine, and
-//    padding/equilibration/finalisation share one definition with the
-//    sequential driver (svd/driver_detail.hpp).
+//    staging (equilibration, QR preconditioning, padding) and finalisation
+//    share one definition with the sequential driver (svd/driver_detail.hpp).
+//    A tall instance (m >= 2n under PreconditionMode::kAuto) therefore packs
+//    every lane's Rᵀ, n rows deep, and rebuilds U = Q·[V′; 0] at retirement.
 //  * Shared schedule: the sweep schedule is data-independent (orderings are
 //    position procedures), so it is precomputed once at construction and
 //    shared read-only by every lane, shard and solve — zero schedule work
@@ -41,7 +43,8 @@
 //  * Zero steady-state allocation: after reserve() (or the first solve at a
 //    given batch size), the pack → iterate → retire cycle allocates nothing;
 //    only materialising SvdResult payloads (U, sigma, V are caller-owned
-//    value types) allocates.
+//    value types) and, on a preconditioned instance, each lane's QR factor
+//    allocate.
 //
 // Threading: shards are independent; solve() runs them over the supplied
 // ThreadPool (one task per shard), or serially when pool is null. A
@@ -129,6 +132,11 @@ class BatchedSvd {
 
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
+  /// Rows of a lane's working matrix: cols_ when the staging step
+  /// preconditions (every lane stages Rᵀ), rows_ otherwise.
+  std::size_t work_rows_ = 0;
+  /// V is accumulated when the caller asks for it or U needs it.
+  bool accumulate_v_ = false;
   int padded_n_ = 0;
   BatchedSvdOptions options_;
   std::string ordering_name_;

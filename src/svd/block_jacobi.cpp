@@ -39,6 +39,7 @@ JacobiOptions element_options(const BlockJacobiOptions& opt) {
   j.cache_norms = opt.cache_norms;
   j.norm_recompute_sweeps = opt.norm_recompute_sweeps;
   j.equilibrate = opt.equilibrate;
+  j.precondition = opt.precondition;
   j.watchdog_sweeps = opt.watchdog_sweeps;
   j.stall_window = opt.stall_window;
   j.full_diagnostics = opt.full_diagnostics;
@@ -198,7 +199,7 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
   // the matrix is padded with zero columns to nb * b.
   const int nb = padded_width(ordering, (n + b - 1) / b, "block count",
                               "n=" + std::to_string(n) + ", block_width=" + std::to_string(b));
-  detail::SweepState st(detail::pad_columns(a, nb * b), jopt);
+  detail::SweepState st(a, nb * b, jopt);
   NormCache* cp = options.cache_norms ? &st.cache : nullptr;
   KernelCounters& counters = cp != nullptr ? st.cache.counters() : st.plain_counters;
   const bool gram_mode = options.inner_mode == InnerMode::kGram;
@@ -226,9 +227,17 @@ SvdResult block_one_sided_jacobi(const Matrix& a, const Ordering& ordering,
     slots[leaf].rotations += stats.rotations;
     slots[leaf].swaps += stats.swaps;
   };
-  // Work estimate of one encounter, m·(2b)² (its Gram build); a step forks
-  // only when its active encounters together clear the dispatch cutoff.
-  const std::size_t encounter_flops = st.h.rows() * kw * kw;
+  // Work estimate of one encounter: its Gram build and applies, m·(2b)², plus
+  // the inner solve on the 2b x 2b Gram matrix, whose cost does not depend
+  // on m. Timing inner_orthogonalise_gram at m = 256, 1024 and 4096 (b = 16,
+  // two inner sweeps, serial, AVX-512 Xeon) fits t = 0.125 µs·m + 120 µs,
+  // i.e. kInnerFlopsPerCube ≈ 15 in the same units. A step forks only when
+  // its active encounters together clear the dispatch cutoff, so solves of
+  // a 256-row Rᵀ are pooled too.
+  constexpr std::size_t kInnerFlopsPerCube = 15;
+  const std::size_t encounter_flops =
+      st.h.rows() * kw * kw +
+      kInnerFlopsPerCube * kw * kw * kw * static_cast<std::size_t>(options.inner_sweeps);
   const auto run_sweep = [&]([[maybe_unused]] int sweep) {
     const Sweep s = chain.next();
     TREESVD_HB_SCOPED_FRAME(sweep_frame, [&] { return "block sweep " + std::to_string(sweep); });

@@ -24,7 +24,8 @@
 // Threading (DESIGN.md §8): each outer step is the paper's set of disjoint
 // leaf pairs, so the driver runs the step's block encounters at once — one
 // task per leaf through gemm_parallel_for on the shared gemm_pool(), with
-// the step's work estimate active_pairs·m·(2b)² deciding whether the step
+// the step's work estimate — per active pair, m·(2b)² for the Gram build and
+// applies plus the m-independent inner solve — deciding whether the step
 // forks at all. An encounter reads and writes only its own 2b columns of H
 // and V, its own NormCache entries and the relaxed-atomic counters, so the
 // result is bitwise identical on every dispatch route. A step is parallel
@@ -72,10 +73,12 @@ struct BlockJacobiOptions {
   /// disables the scheduled refresh).
   int norm_recompute_sweeps = 8;
   /// Same robustness knobs as JacobiOptions (svd/status.hpp /
-  /// svd/equilibrate.hpp): exact power-of-two input equilibration, opt-in
+  /// svd/equilibrate.hpp): exact power-of-two input equilibration, QR
+  /// preconditioning of tall inputs, opt-in
   /// stagnation watchdog, observational stall window, and forced heavy
   /// diagnostics.
   EquilibrateMode equilibrate = EquilibrateMode::kAuto;
+  PreconditionMode precondition = PreconditionMode::kAuto;
   int watchdog_sweeps = 0;
   int stall_window = 4;
   bool full_diagnostics = false;

@@ -9,14 +9,17 @@
 //    lane with one SweepGuards per lane;
 //  * the SPMD engine (spmd.cpp) replicates it on every rank and gathers the
 //    ranks' columns into one finalize.
-// They must agree bit-for-bit on everything outside the pair work: column
-// padding, the per-run robustness guards, the scheduled cache refresh
-// cadence, and the finalisation that turns the rotated working matrix into
-// (U, sigma, V) plus the status contract. Keeping one definition here is what
-// makes "batched lane b == sequential run b == SPMD run" a structural property
-// instead of a maintenance promise.
+// They must agree bit-for-bit on everything outside the pair work: the
+// staging step (equilibration, QR preconditioning, column padding), the
+// per-run robustness guards, the scheduled cache refresh cadence, and the
+// finalisation that turns the rotated working matrix into (U, sigma, V) plus
+// the status contract. Keeping one definition here is what makes "batched
+// lane b == sequential run b == SPMD run" a structural property instead of a
+// maintenance promise.
 
 #include <algorithm>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "linalg/blas1.hpp"
 #include "linalg/dispatch.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/qr.hpp"
 #include "svd/equilibrate.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/norm_cache.hpp"
@@ -32,25 +36,35 @@
 
 namespace treesvd::detail {
 
-/// Pads A with zero columns to `width` (padded_width for the element-wise
-/// engines, a whole number of blocks for the block engine).
-inline Matrix pad_columns(const Matrix& a, int width) {
-  const auto w = static_cast<std::size_t>(width);
-  if (w == a.cols()) return a;
-  Matrix p(a.rows(), w);
-  for (std::size_t j = 0; j < a.cols(); ++j) {
-    const auto src = a.col(j);
-    const auto dst = p.col(j);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  return p;
+/// True when an m x n solve under `mode` is QR-preconditioned.
+inline bool preconditions(std::size_t m, std::size_t n, PreconditionMode mode) noexcept {
+  return mode == PreconditionMode::kAlways || (mode == PreconditionMode::kAuto && m >= 2 * n);
 }
+
+/// Rows of the working matrix: n when preconditioned (H = Rᵀ), else m.
+inline std::size_t working_rows(std::size_t m, std::size_t n, const JacobiOptions& opt) noexcept {
+  return preconditions(m, n, opt.precondition) ? n : m;
+}
+
+/// Whether the engine accumulates V: always when preconditioned, because
+/// U = Q·[V′; 0] needs the rotations even when the caller wants no V.
+inline bool accumulates_v(std::size_t m, std::size_t n, const JacobiOptions& opt) noexcept {
+  return opt.compute_v || preconditions(m, n, opt.precondition);
+}
+
+/// The preconditioner of a staged solve: A·P = Q·R, P the static column
+/// pivoting by descending norm (Drmač–Veselić), the working matrix Rᵀ.
+struct Preconditioner {
+  HouseholderQr qr;
+  std::vector<std::size_t> perm;  ///< column k of A·P is column perm[k] of A
+};
 
 /// Per-driver robustness state: the equilibration record plus the (always
 /// observational) stall classifier and (opt-in) watchdog, threaded through
 /// finalize so every result carries the status contract.
 struct SweepGuards {
   Equilibration eq;
+  std::optional<Preconditioner> pre;
   StallDetector stall;
   ConvergenceWatchdog watchdog{0};
   std::size_t watchdog_trips = 0;
@@ -69,6 +83,71 @@ struct SweepGuards {
   }
 };
 
+/// The one staging step of every one-sided driver. Equilibrates A by an
+/// exact power of two; then, when preconditioning applies, pivots its columns
+/// by descending norm, factors A·P = Q·R on the reduction tree and stages
+/// H = Rᵀ, else stages H = A. `h` is the working matrix, already shaped
+/// working_rows x width (width >= n); columns past n are zeroed. The records
+/// finalize needs to undo the staging land in `guards`.
+inline void stage(const Matrix& a, Matrix& h, const JacobiOptions& opt, SweepGuards& guards) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  TREESVD_REQUIRE(h.rows() == working_rows(m, n, opt) && h.cols() >= n,
+                  "staging matrix has the wrong shape");
+  for (std::size_t j = n; j < h.cols(); ++j) std::fill(h.col(j).begin(), h.col(j).end(), 0.0);
+  guards.pre.reset();
+  if (!preconditions(m, n, opt.precondition)) {
+    for (std::size_t j = 0; j < n; ++j)
+      std::copy(a.col(j).begin(), a.col(j).end(), h.col(j).begin());
+    guards.eq = equilibrate(h, opt.equilibrate);
+    return;
+  }
+  std::vector<double> norms(n);
+  for (std::size_t j = 0; j < n; ++j) norms[j] = nrm2(a.col(j));
+  std::vector<std::size_t> perm(n);
+  std::iota(perm.begin(), perm.end(), std::size_t{0});
+  std::stable_sort(perm.begin(), perm.end(),
+                   [&](std::size_t x, std::size_t y) { return norms[x] > norms[y]; });
+  Matrix ap(m, n);
+  for (std::size_t k = 0; k < n; ++k)
+    std::copy(a.col(perm[k]).begin(), a.col(perm[k]).end(), ap.col(k).begin());
+  guards.eq = equilibrate(ap, opt.equilibrate);
+  guards.pre.emplace(Preconditioner{HouseholderQr(std::move(ap)), std::move(perm)});
+  const Matrix r = guards.pre->qr.r();
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < n; ++i) h(j, i) = i <= j ? r(i, j) : 0.0;
+}
+
+/// Completes the columns of `v` that `keep` marks false to an orthonormal
+/// basis, deterministically: each takes the unit vector e_i least covered
+/// by the basis so far (largest 1 - Σ v(i,c)², lowest i on ties), with two
+/// Gram–Schmidt passes against it.
+inline void complete_basis(Matrix& v, std::vector<char> keep) {
+  const std::size_t n = v.rows();
+  for (std::size_t j = 0; j < v.cols(); ++j) {
+    if (keep[j]) continue;
+    std::size_t best = 0;
+    double best_gap = -1.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      double covered = 0.0;
+      for (std::size_t c = 0; c < v.cols(); ++c)
+        if (keep[c]) covered += v(i, c) * v(i, c);
+      if (1.0 - covered > best_gap) {
+        best_gap = 1.0 - covered;
+        best = i;
+      }
+    }
+    const auto x = v.col(j);
+    std::fill(x.begin(), x.end(), 0.0);
+    x[best] = 1.0;
+    for (int pass = 0; pass < 2; ++pass)
+      for (std::size_t c = 0; c < v.cols(); ++c)
+        if (keep[c]) axpy(-dot(v.col(c), x), v.col(c), x);
+    scal(1.0 / nrm2(x), x);
+    keep[j] = 1;
+  }
+}
+
 inline SvdResult finalize(Matrix h, Matrix v, const Matrix& a, const JacobiOptions& opt,
                           const SweepGuards& guards, SvdResult partial) {
   const std::size_t n = a.cols();
@@ -80,17 +159,33 @@ inline SvdResult finalize(Matrix h, Matrix v, const Matrix& a, const JacobiOptio
   for (std::size_t j = 0; j < n; ++j) r.sigma[j] = nrm2(h.col(j));
   const double smax = *std::max_element(r.sigma.begin(), r.sigma.end());
 
-  r.u = Matrix(h.rows(), n);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (r.sigma[j] > opt.rank_tol * smax && r.sigma[j] > 0.0)
-      copy_div(h.col(j), r.sigma[j], r.u.col(j));
-  }
-  if (opt.compute_v) {
-    r.v = Matrix(n, n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto src = v.col(j);
-      const auto dst = r.v.col(j);
-      std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n), dst.begin());
+  std::vector<char> keep(n);
+  for (std::size_t j = 0; j < n; ++j)
+    keep[j] = r.sigma[j] > opt.rank_tol * smax && r.sigma[j] > 0.0;
+
+  if (guards.pre) {
+    // Undo the preconditioning: Rᵀ·V′ = H, so A·P = Q·V′·Σ·(H/Σ)ᵀ. U is
+    // Q·[V′; 0], formed in place in the m x n result (null columns stay
+    // exactly zero through Q); V is P·(H/Σ), its null columns completed.
+    r.u = Matrix(a.rows(), n);
+    for (std::size_t j = 0; j < n; ++j)
+      if (keep[j]) std::copy_n(v.col(j).begin(), n, r.u.col(j).begin());
+    guards.pre->qr.apply_q(r.u);
+    if (opt.compute_v) {
+      r.v = Matrix(n, n);
+      const std::vector<std::size_t>& perm = guards.pre->perm;
+      for (std::size_t j = 0; j < n; ++j)
+        if (keep[j])
+          for (std::size_t k = 0; k < n; ++k) r.v(perm[k], j) = h(k, j) / r.sigma[j];
+      complete_basis(r.v, keep);
+    }
+  } else {
+    r.u = Matrix(h.rows(), n);
+    for (std::size_t j = 0; j < n; ++j)
+      if (keep[j]) copy_div(h.col(j), r.sigma[j], r.u.col(j));
+    if (opt.compute_v) {
+      r.v = Matrix(n, n);
+      for (std::size_t j = 0; j < n; ++j) std::copy_n(v.col(j).begin(), n, r.v.col(j).begin());
     }
   }
   unscale_sigma(r.sigma, guards.eq);
@@ -101,6 +196,7 @@ inline SvdResult finalize(Matrix h, Matrix v, const Matrix& a, const JacobiOptio
   r.diagnostics.input_scale = guards.eq.stats;
   r.diagnostics.equilibrated = guards.eq.applied;
   r.diagnostics.equilibration_exponent = guards.eq.exponent;
+  r.diagnostics.preconditioned = guards.pre.has_value();
   r.diagnostics.watchdog_trips = guards.watchdog_trips;
   r.diagnostics.stalled_sweeps = guards.stall.streak();
   if (!r.converged || opt.full_diagnostics)
@@ -129,13 +225,14 @@ struct SweepTally {
   std::size_t swaps = 0;
 };
 
-/// A one-sided solve's working state: the padded working matrix H
-/// (equilibrated on construction), the accumulated V, the norm cache, the
+/// A one-sided solve's working state: the staged working matrix H (padded
+/// A or Rᵀ, equilibrated), the accumulated V, the norm cache, the
 /// counters the uncached kernels tick, and the guards.
 struct SweepState {
-  SweepState(Matrix padded, const JacobiOptions& opt) : h(std::move(padded)), guards(opt) {
-    guards.eq = equilibrate(h, opt.equilibrate);
-    if (opt.compute_v) v = Matrix::identity(h.cols());
+  SweepState(const Matrix& a, int width, const JacobiOptions& opt)
+      : h(working_rows(a.rows(), a.cols(), opt), static_cast<std::size_t>(width)), guards(opt) {
+    stage(a, h, opt, guards);
+    if (accumulates_v(a.rows(), a.cols(), opt)) v = Matrix::identity(h.cols());
     if (opt.cache_norms) cache.refresh(h);
   }
 

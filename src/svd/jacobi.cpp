@@ -41,7 +41,7 @@ SvdResult elementwise_jacobi(const Matrix& a, const Ordering* ordering, ThreadPo
   const PairKernel kernel(options);
   const int n = ordering != nullptr ? padded_width(*ordering, static_cast<int>(a.cols()))
                                     : static_cast<int>(a.cols());
-  SweepState st(detail::pad_columns(a, n), options);
+  SweepState st(a, n, options);
   std::optional<SweepChain> chain;
   if (ordering != nullptr) chain.emplace(*ordering, n);
   // Threaded steps write each leaf's outcome to its own slot and tally after

@@ -59,6 +59,11 @@ struct JacobiOptions {
   /// transparent — sigma, U, V and sweep counts match the unequilibrated run
   /// exactly whenever that run stays in range.
   EquilibrateMode equilibrate = EquilibrateMode::kAuto;
+  /// QR preconditioning (svd/status.hpp): kAuto factors tall inputs
+  /// (m >= 2n) as A·P = Q·R once and solves the n x n Rᵀ, which needs fewer
+  /// sweeps, each over n rows instead of m. `sweeps`, the counters and
+  /// off_history then describe the Rᵀ solve.
+  PreconditionMode precondition = PreconditionMode::kAuto;
   /// Engine-level convergence watchdog (svd/recovery.hpp): when > 0, a
   /// sweep-activity plateau of this many sweeps forces a full norm
   /// re-reduction (the only repairable source of stagnation). 0 disables the

@@ -7,7 +7,6 @@
 #include "linalg/blas1.hpp"
 #include "mp/message_passing.hpp"
 #include "svd/driver_detail.hpp"
-#include "svd/equilibrate.hpp"
 #include "svd/pair_kernel.hpp"
 #include "util/require.hpp"
 
@@ -195,7 +194,6 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   require_finite_columns(a, "spmd_jacobi");
   const int n0 = static_cast<int>(a.cols());
   const int n = padded_width(ordering, n0);
-  const std::size_t rows = a.rows();
   const int ranks = n / 2;
 
   RecoveryOptions recovery = transport != nullptr ? transport->recovery : RecoveryOptions{};
@@ -204,10 +202,15 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   if (transport == nullptr) recovery.watchdog_sweeps = options.watchdog_sweeps;
   const bool chaos = transport != nullptr;
 
-  // Equilibration happens once, before the scatter, so every rank works at
-  // the same exact power-of-two scale and the hsq payloads stay finite.
-  Matrix a_eq = a;
-  const Equilibration eq = equilibrate(a_eq, options.equilibrate);
+  // The shared staging step (equilibration, QR preconditioning, padding)
+  // happens once, before the scatter, so every rank works on the same
+  // columns at the same exact power-of-two scale and the hsq payloads stay
+  // finite. Under preconditioning the ranks rotate Rᵀ and always carry V.
+  detail::SweepGuards staged(options);
+  Matrix h0(detail::working_rows(a.rows(), a.cols(), options), static_cast<std::size_t>(n));
+  detail::stage(a, h0, options, staged);
+  const std::size_t rows = h0.rows();
+  const bool keep_v = detail::accumulates_v(a.rows(), a.cols(), options);
   const bool checkpointing = chaos && recovery.checkpoint_sweeps > 0;
 
   mp::World world(ranks);
@@ -252,12 +255,9 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
       for (int k = 0; k < 2; ++k) {
         const int s = 2 * me + k;
         slot[k].label = s;
-        slot[k].h.assign(rows, 0.0);
-        if (s < n0) {
-          const auto src = a_eq.col(static_cast<std::size_t>(s));
-          std::copy(src.begin(), src.end(), slot[k].h.begin());
-        }
-        if (options.compute_v) {
+        const auto src = h0.col(static_cast<std::size_t>(s));
+        slot[k].h.assign(src.begin(), src.end());
+        if (keep_v) {
           slot[k].v.assign(static_cast<std::size_t>(n), 0.0);
           slot[k].v[static_cast<std::size_t>(s)] = 1.0;
         }
@@ -351,8 +351,8 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
           const int lo = slot[0].label < slot[1].label ? 0 : 1;
           const int hi = 1 - lo;
           const std::span<double> none;
-          const std::span<double> vlo = options.compute_v ? std::span<double>(slot[lo].v) : none;
-          const std::span<double> vhi = options.compute_v ? std::span<double>(slot[hi].v) : none;
+          const std::span<double> vlo = keep_v ? std::span<double>(slot[lo].v) : none;
+          const std::span<double> vhi = keep_v ? std::span<double>(slot[hi].v) : none;
           detail::PairOutcome o;
           if (options.cache_norms) {
             const auto co = kernel.process_cached(slot[lo].h, slot[hi].h, vlo, vhi, slot[lo].hsq,
@@ -409,13 +409,13 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
             TREESVD_ASSERT(src_leaf >= 0 && src_leaf != me);
             std::vector<double> payload = ctx.recv(src_leaf, make_tag(sweep, t, dst_slot));
             TREESVD_ASSERT(payload.size() ==
-                           2 + rows + (options.compute_v ? static_cast<std::size_t>(n) : 0u));
+                           2 + rows + (keep_v ? static_cast<std::size_t>(n) : 0u));
             next[k].label = static_cast<int>(payload[0]);
             TREESVD_ASSERT(next[k].label == want);
             next[k].hsq = payload[1];
             next[k].h.assign(payload.begin() + 2,
                              payload.begin() + 2 + static_cast<std::ptrdiff_t>(rows));
-            if (options.compute_v)
+            if (keep_v)
               next[k].v.assign(payload.begin() + 2 + static_cast<std::ptrdiff_t>(rows),
                                payload.end());
             if (chaos) {
@@ -514,11 +514,10 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
   // Replicated control (sweeps/converged/stall) is read from rank 0; the
   // additive totals are summed in rank order; the watchdog trips are the
   // world's count.
-  detail::SweepGuards guards(options);
-  guards.eq = eq;
+  detail::SweepGuards& guards = staged;
   guards.watchdog_trips = world.recovery_stats().watchdog_trips;
   Matrix h(rows, static_cast<std::size_t>(n));
-  Matrix v = options.compute_v ? Matrix(static_cast<std::size_t>(n), static_cast<std::size_t>(n))
+  Matrix v = keep_v ? Matrix(static_cast<std::size_t>(n), static_cast<std::size_t>(n))
                                : Matrix();
   SvdResult r;
   for (int rr = 0; rr < ranks; ++rr) {
@@ -534,7 +533,7 @@ SvdResult spmd_jacobi(const Matrix& a, const Ordering& ordering, const JacobiOpt
     for (const SlotState& sl : res.slot) {
       const auto label = static_cast<std::size_t>(sl.label);
       std::copy(sl.h.begin(), sl.h.end(), h.col(label).begin());
-      if (options.compute_v) std::copy(sl.v.begin(), sl.v.end(), v.col(label).begin());
+      if (keep_v) std::copy(sl.v.begin(), sl.v.end(), v.col(label).begin());
     }
   }
   r.kernel_stats.isa_tier = static_cast<int>(resolved_isa());

@@ -46,6 +46,17 @@ enum class EquilibrateMode {
   kOff,     ///< never scale
 };
 
+/// QR preconditioning policy of the one-sided engines (svd/driver_detail.hpp):
+/// pivot A's columns by descending norm, factor A·P = Q·R on a reduction tree
+/// (linalg/qr.hpp), solve the n x n Rᵀ instead of A, and map back (V from Rᵀ's
+/// left vectors, U = Q·[V′; 0]). Every engine stages the same Rᵀ, so the
+/// cross-engine bitwise identities hold with it on.
+enum class PreconditionMode {
+  kOff,     ///< always solve A itself
+  kAuto,    ///< precondition tall inputs, m >= 2n (the default)
+  kAlways,  ///< precondition every input
+};
+
 /// Dynamic-range statistics of a matrix, gathered in one pass.
 struct ScaleStats {
   double max_abs = 0.0;          ///< largest |a_ij| (0 for the zero matrix)
@@ -70,6 +81,7 @@ struct SvdDiagnostics {
   ScaleStats input_scale;        ///< dynamic range of the engine input
   bool equilibrated = false;     ///< whether the pre-pass rescaled the input
   int equilibration_exponent = 0;  ///< a was scaled by 2^exponent internally
+  bool preconditioned = false;   ///< the engines solved Rᵀ of A·P = Q·R
   std::size_t watchdog_trips = 0;  ///< forced norm re-reductions (engine-level)
   int stalled_sweeps = 0;        ///< trailing sweeps with non-decreasing activity
   double scaled_residual = -1.0; ///< ||A - U diag(sigma) V^T||_F / ||A||_F

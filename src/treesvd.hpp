@@ -36,7 +36,6 @@
 #include "svd/block_jacobi.hpp"  // IWYU pragma: export
 #include "svd/jacobi.hpp"        // IWYU pragma: export
 #include "svd/kogbetliantz.hpp"  // IWYU pragma: export
-#include "svd/preconditioned.hpp"  // IWYU pragma: export
 #include "svd/recovery.hpp"      // IWYU pragma: export
 #include "svd/spmd.hpp"          // IWYU pragma: export
 #include "util/cli.hpp"          // IWYU pragma: export

@@ -53,7 +53,9 @@ TEST(FailureInjection, SvdEnginesRejectWideAndTiny) {
   EXPECT_THROW(one_sided_jacobi_threaded(wide, *ord), std::invalid_argument);
   EXPECT_THROW(cyclic_jacobi(wide), std::invalid_argument);
   EXPECT_THROW(spmd_jacobi(wide, *ord), std::invalid_argument);
-  EXPECT_THROW(qr_preconditioned_jacobi(wide, *ord), std::invalid_argument);
+  JacobiOptions preconditioned;
+  preconditioned.precondition = PreconditionMode::kAlways;
+  EXPECT_THROW(one_sided_jacobi(wide, *ord, preconditioned), std::invalid_argument);
   EXPECT_THROW(block_one_sided_jacobi(wide, *ord), std::invalid_argument);
   EXPECT_THROW(one_sided_jacobi(tiny, *ord), std::invalid_argument);
 }

@@ -56,14 +56,19 @@ void expect_bitwise_sequential(const std::vector<Matrix>& inputs,
 }
 
 TEST(BatchedSvd, BitwiseEqualsSequentialAllOrderingsAndBatchSizes) {
+  // 20 x 6 is tall (m >= 2n): every lane stages its own Rᵀ and rebuilds U
+  // through its own QR factor, as the sequential driver does.
   for (const std::string& name : ordering_names({4})) {
     const OrderingPtr ord = make_ordering(name);
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                                    std::size_t{17}}) {
-      const auto inputs = gaussian_batch(batch, 9, 6, 0x5eedULL + batch);
-      BatchedSvd engine(9, 6, *ord);
-      const auto results = engine.solve({inputs.data(), inputs.size()});
-      expect_bitwise_sequential(inputs, results, *ord, BatchedSvdOptions{}.jacobi);
+    for (const std::size_t rows : {std::size_t{9}, std::size_t{20}}) {
+      for (const std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{8},
+                                      std::size_t{17}}) {
+        const auto inputs = gaussian_batch(batch, rows, 6, 0x5eedULL + batch);
+        BatchedSvd engine(rows, 6, *ord);
+        const auto results = engine.solve({inputs.data(), inputs.size()});
+        expect_bitwise_sequential(inputs, results, *ord, BatchedSvdOptions{}.jacobi);
+        for (const SvdResult& r : results) EXPECT_EQ(r.diagnostics.preconditioned, rows == 20);
+      }
     }
   }
 }

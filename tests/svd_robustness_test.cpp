@@ -13,7 +13,6 @@
 #include "svd/block_jacobi.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/kogbetliantz.hpp"
-#include "svd/preconditioned.hpp"
 #include "svd/spmd.hpp"
 
 namespace treesvd {
@@ -103,9 +102,12 @@ TEST(SvdRobustness, NearlyParallelColumns) {
 
 TEST(SvdRobustness, AlreadyOrthogonalColumnsButUnsorted) {
   // Orthogonal columns with increasing norms: no rotations, only fused swaps.
+  // (Preconditioning would pivot the columns into order before the sweeps.)
   Matrix a(8, 4);
   for (int j = 0; j < 4; ++j) a(static_cast<std::size_t>(j), static_cast<std::size_t>(j)) = j + 1.0;
-  const SvdResult r = one_sided_jacobi(a, *make_ordering("round-robin"));
+  JacobiOptions opt;
+  opt.precondition = PreconditionMode::kOff;
+  const SvdResult r = one_sided_jacobi(a, *make_ordering("round-robin"), opt);
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(r.rotations, 0u);
   EXPECT_GT(r.swaps, 0u);
@@ -170,7 +172,11 @@ const NamedEngine kOneSidedEngines[] = {
        return block_one_sided_jacobi(a, *make_ordering("round-robin"), opt);
      }},
     {"preconditioned",
-     [](const Matrix& a) { return qr_preconditioned_jacobi(a, *make_ordering("fat-tree")); }},
+     [](const Matrix& a) {
+       JacobiOptions opt;
+       opt.precondition = PreconditionMode::kAlways;
+       return one_sided_jacobi(a, *make_ordering("fat-tree"), opt);
+     }},
     {"spmd", [](const Matrix& a) { return spmd_jacobi(a, *make_ordering("fat-tree")); }},
 };
 
@@ -214,6 +220,49 @@ TEST(SvdRobustness, DuplicateColumnsAcrossEveryEngine) {
     const SvdResult r = e.run(a);
     check_degenerate(r, e.name, 4);
     // [B | B] has sigma = sqrt(2) * sigma(B) for the nonzero half.
+    for (std::size_t k = 0; k < 4; ++k)
+      EXPECT_NEAR(r.sigma[k], std::sqrt(2.0) * spec[k], 1e-12 * spec[0]) << e.name;
+  }
+}
+
+// Tall variants (24 x 8): the default PreconditionMode::kAuto now solves
+// Rᵀ, so the zero singular values come out of the Rᵀ solve and U = Q·[V′; 0].
+// Their U columns must still be exactly zero, and V — formed as P·(H/Σ) with
+// its null columns completed — must stay orthonormal.
+void check_tall_degenerate(const SvdResult& r, const char* engine, std::size_t rank) {
+  check_degenerate(r, engine, rank);
+  EXPECT_TRUE(r.diagnostics.preconditioned) << engine;
+  EXPECT_LE(orthonormality_defect(r.v), 1e-12) << engine;
+}
+
+TEST(SvdRobustness, ZeroColumnsAcrossEveryEngineTall) {
+  Rng rng(81);
+  const std::vector<double> spec = geometric_spectrum(6, 1e6);
+  const Matrix b = with_spectrum(24, 6, spec, rng);
+  Matrix a(24, 8);
+  for (std::size_t j = 0; j < 6; ++j)
+    std::copy(b.col(j).begin(), b.col(j).end(), a.col(j < 3 ? j : j + 2).begin());
+  for (const NamedEngine& e : kOneSidedEngines) {
+    SCOPED_TRACE(e.name);
+    const SvdResult r = e.run(a);
+    check_tall_degenerate(r, e.name, 6);
+    for (std::size_t k = 0; k < 6; ++k) EXPECT_NEAR(r.sigma[k], spec[k], 1e-12 * spec[0]);
+  }
+}
+
+TEST(SvdRobustness, DuplicateColumnsAcrossEveryEngineTall) {
+  Rng rng(82);
+  const std::vector<double> spec = geometric_spectrum(4, 1e3);
+  const Matrix b = with_spectrum(24, 4, spec, rng);
+  Matrix a(24, 8);
+  for (std::size_t j = 0; j < 4; ++j) {
+    std::copy(b.col(j).begin(), b.col(j).end(), a.col(j).begin());
+    std::copy(b.col(j).begin(), b.col(j).end(), a.col(4 + j).begin());
+  }
+  for (const NamedEngine& e : kOneSidedEngines) {
+    SCOPED_TRACE(e.name);
+    const SvdResult r = e.run(a);
+    check_tall_degenerate(r, e.name, 4);
     for (std::size_t k = 0; k < 4; ++k)
       EXPECT_NEAR(r.sigma[k], std::sqrt(2.0) * spec[k], 1e-12 * spec[0]) << e.name;
   }

@@ -1,4 +1,4 @@
-// Block one-sided Jacobi and the QR-preconditioned path.
+// Block one-sided Jacobi and QR preconditioning (PreconditionMode).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "svd/block_jacobi.hpp"
 #include "svd/determinism.hpp"
 #include "svd/jacobi.hpp"
-#include "svd/preconditioned.hpp"
 
 namespace treesvd {
 namespace {
@@ -182,10 +181,19 @@ TEST(BlockJacobiGram, CountersShowOneGramOnePairOfAppliesPerEncounter) {
   // step, nb-1 steps for round-robin over nb = 4 blocks.
   EXPECT_EQ(ks.gram_builds % 6, 0u);
 
+  // Without V, the unpreconditioned solve applies the H panel only. Under
+  // preconditioning (80 >= 2·32, so kAuto fires) V′ is always rotated,
+  // because U = Q·[V′; 0] needs it.
   BlockJacobiOptions no_v = opt;
   no_v.compute_v = false;
+  no_v.precondition = PreconditionMode::kOff;
   const SvdResult rn = block_one_sided_jacobi(a, *make_ordering("round-robin"), no_v);
   EXPECT_LE(rn.kernel_stats.blocked_applies, rn.kernel_stats.gram_builds);
+  no_v.precondition = PreconditionMode::kAuto;
+  const SvdResult rp = block_one_sided_jacobi(a, *make_ordering("round-robin"), no_v);
+  EXPECT_TRUE(rp.diagnostics.preconditioned);
+  EXPECT_EQ(rp.kernel_stats.blocked_applies % 2, 0u);
+  EXPECT_EQ(rp.kernel_stats.blocked_applies, ks.blocked_applies);
 }
 
 TEST(BlockJacobiGram, ElementwiseCountersUnchangedFromPairKernelLayer) {
@@ -293,6 +301,8 @@ TEST(BlockJacobiBlockCount, UnsupportableCountThrowsWithPreciseRange) {
 // cutoff, so every step forks across its encounters when the shared pool's
 // gate is free.
 // Under detail::ScopedGemmGateHold every step takes the serial route instead.
+// These solves keep PreconditionMode::kOff: they pin the step dispatch over
+// m-row panels, which QR preconditioning would shrink to n rows.
 
 const Matrix& step_parallel_input() {
   static const Matrix a = [] {
@@ -308,14 +318,15 @@ BlockJacobiOptions step_parallel_options(InnerMode mode, bool compute_v) {
   opt.inner_mode = mode;
   opt.compute_v = compute_v;
   opt.max_outer_sweeps = 1;  // route identity needs steps, not convergence
+  opt.precondition = PreconditionMode::kOff;
   return opt;
 }
 
 /// Solves with the gate free and with it held, checks the routes each took,
 /// and checks the two results agree bit for bit.
-void expect_routes_identical(const Ordering& ord, const BlockJacobiOptions& opt) {
-  const Matrix& a = step_parallel_input();
-  const auto steps = static_cast<std::size_t>(ord.steps(8));
+void expect_routes_identical(const Ordering& ord, const BlockJacobiOptions& opt,
+                             const Matrix& a = step_parallel_input(), int blocks = 8) {
+  const auto steps = static_cast<std::size_t>(ord.steps(blocks));
   gemm_dispatch_stats_reset();
   const SvdResult pooled = block_one_sided_jacobi(a, ord, opt);
   const GemmDispatchStats free_routes = gemm_dispatch_stats();
@@ -372,6 +383,19 @@ TEST(BlockJacobiStepParallel, SharedInnerScheduleMatchesSerialStepsBitwise) {
   }
 }
 
+TEST(BlockJacobiStepParallel, SquareStepsArePooled) {
+  // 256 x 256 at b = 16 — the shape of block-graded's Rᵀ: 16 blocks, eight
+  // encounters per step over only 256 rows. The step estimate counts each
+  // encounter's m-independent inner solve, so every step still clears the
+  // cutoff and forks; the result is bitwise the gate-held serial route's.
+  Rng rng(832);
+  const Matrix a = random_gaussian(256, 256, rng);
+  BlockJacobiOptions opt;
+  opt.block_width = 16;
+  opt.max_outer_sweeps = 2;
+  expect_routes_identical(*make_ordering("fat-tree"), opt, a, 16);
+}
+
 TEST(BlockJacobiStepParallel, SmallSolveStaysInline) {
   // 512 x 64 at b = 16: two encounters per step, about 1 Mflop — below the
   // cutoff, so nothing forks (this is the benchmark's warm-up shape).
@@ -424,23 +448,35 @@ TEST(BlockJacobiInnerSchedule, PassesReplayAFreshChainFromTheIdentity) {
   EXPECT_THROW(detail::InnerSchedule("no-such-ordering", 8, 1), std::invalid_argument);
 }
 
+JacobiOptions preconditioned_options(PreconditionMode mode) {
+  JacobiOptions opt;
+  opt.precondition = mode;
+  return opt;
+}
+
 TEST(Preconditioned, MatchesDirectJacobi) {
   Rng rng(814);
   const Matrix a = random_gaussian(200, 24, rng);
   const auto ord = make_ordering("fat-tree");
-  const SvdResult direct = one_sided_jacobi(a, *ord);
-  const SvdResult pre = qr_preconditioned_jacobi(a, *ord);
+  const SvdResult direct =
+      one_sided_jacobi(a, *ord, preconditioned_options(PreconditionMode::kOff));
+  const SvdResult pre =
+      one_sided_jacobi(a, *ord, preconditioned_options(PreconditionMode::kAlways));
   ASSERT_TRUE(pre.converged);
+  EXPECT_FALSE(direct.diagnostics.preconditioned);
+  EXPECT_TRUE(pre.diagnostics.preconditioned);
   for (std::size_t k = 0; k < direct.sigma.size(); ++k)
     EXPECT_NEAR(pre.sigma[k], direct.sigma[k], 1e-9);
   EXPECT_LT(reconstruction_error(a, pre.u, pre.sigma, pre.v) / a.frobenius_norm(), 1e-12);
   EXPECT_LT(orthonormality_defect(pre.u), 1e-10);
+  EXPECT_LT(orthonormality_defect(pre.v), 1e-10);
 }
 
 TEST(Preconditioned, TallAndSkinny) {
   Rng rng(815);
   const Matrix a = with_spectrum(500, 12, geometric_spectrum(12, 1e5), rng);
-  const SvdResult r = qr_preconditioned_jacobi(a, *make_ordering("new-ring"));
+  const SvdResult r = one_sided_jacobi(a, *make_ordering("new-ring"),
+                                       preconditioned_options(PreconditionMode::kAlways));
   ASSERT_TRUE(r.converged);
   const auto sv = singular_values_oracle(a);
   for (std::size_t k = 0; k < sv.size(); ++k)
@@ -450,10 +486,28 @@ TEST(Preconditioned, TallAndSkinny) {
 TEST(Preconditioned, RankDeficientTall) {
   Rng rng(816);
   const Matrix a = rank_deficient(120, 16, 4, rng);
-  const SvdResult r = qr_preconditioned_jacobi(a, *make_ordering("round-robin"));
+  const SvdResult r = one_sided_jacobi(a, *make_ordering("round-robin"),
+                                       preconditioned_options(PreconditionMode::kAlways));
   ASSERT_TRUE(r.converged);
   EXPECT_EQ(r.rank(1e-9), 4u);
   EXPECT_LT(reconstruction_error(a, r.u, r.sigma, r.v) / a.frobenius_norm(), 1e-11);
+  EXPECT_LT(orthonormality_defect(r.v), 1e-12);
+}
+
+TEST(Preconditioned, AutoFiresOnTallInputsOnly) {
+  Rng rng(817);
+  const auto ord = make_ordering("round-robin");
+  EXPECT_TRUE(one_sided_jacobi(random_gaussian(24, 12, rng), *ord).diagnostics.preconditioned);
+  EXPECT_FALSE(one_sided_jacobi(random_gaussian(23, 12, rng), *ord).diagnostics.preconditioned);
+  // compute_v = false still rotates V′ internally, because U = Q·[V′; 0].
+  JacobiOptions no_v;
+  no_v.compute_v = false;
+  const Matrix a = random_gaussian(40, 8, rng);
+  const SvdResult with_v = one_sided_jacobi(a, *ord);
+  const SvdResult without_v = one_sided_jacobi(a, *ord, no_v);
+  EXPECT_TRUE(without_v.v.empty());
+  EXPECT_EQ(without_v.u, with_v.u);
+  EXPECT_EQ(without_v.sigma, with_v.sigma);
 }
 
 }  // namespace

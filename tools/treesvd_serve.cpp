@@ -403,12 +403,16 @@ constexpr gate::Flag kFlags[] = {
 
 gate::Report run_chaos(const gate::Args& args) {
   ChaosConfig cfg;
-  cfg.rows = static_cast<std::size_t>(args.integer("rows", 12));
-  cfg.cols = static_cast<std::size_t>(args.integer("cols", 8));
-  cfg.requests = static_cast<std::size_t>(args.integer("requests", 96));
-  cfg.seed = static_cast<std::uint64_t>(args.integer("seed"));
-  gate::require(cfg.rows >= cfg.cols && cfg.cols >= 2 && cfg.requests >= 24,
+  // Range-checked as signed values, before any conversion to size_t.
+  const long long rows = args.integer("rows", 12);
+  const long long cols = args.integer("cols", 8);
+  const long long requests = args.integer("requests", 96);
+  gate::require(rows >= cols && cols >= 2 && requests >= 24,
                 "--chaos needs rows >= cols >= 2 and requests >= 24");
+  cfg.rows = static_cast<std::size_t>(rows);
+  cfg.cols = static_cast<std::size_t>(cols);
+  cfg.requests = static_cast<std::size_t>(requests);
+  cfg.seed = static_cast<std::uint64_t>(args.integer("seed"));
   const std::string oname = args.ordering("ordering");
   const OrderingPtr ordering = make_ordering(oname);
   cfg.ordering = ordering.get();
@@ -454,18 +458,29 @@ gate::Report run_chaos(const gate::Args& args) {
 }
 
 gate::Report run_serve(const gate::Args& args) {
-  const auto rows = static_cast<std::size_t>(args.integer("rows"));
-  const auto cols = static_cast<std::size_t>(args.integer("cols"));
-  const auto shards = static_cast<std::size_t>(args.integer("shards"));
-  const auto lane_width = static_cast<std::size_t>(args.integer("lane-width"));
+  // Every count is range-checked as a signed value before it becomes a
+  // size_t, so a negative flag is a usage error, not a wrapped-around size.
+  const long long rows_arg = args.integer("rows");
+  const long long cols_arg = args.integer("cols");
+  const long long shards_arg = args.integer("shards");
+  const long long lane_width_arg = args.integer("lane-width");
   const long long queue_cap_arg = args.integer("queue-cap");
-  gate::require(queue_cap_arg >= 1, "--queue-cap must be >= 1");
-  const auto queue_cap = static_cast<std::size_t>(queue_cap_arg);
-  const auto requests = static_cast<std::size_t>(args.integer("requests"));
-  const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
-  const auto verify = static_cast<std::size_t>(args.integer("verify"));
-  gate::require(rows >= cols && cols >= 2 && shards >= 1 && requests >= 1,
+  const long long requests_arg = args.integer("requests");
+  const long long verify_arg = args.integer("verify");
+  gate::require(rows_arg >= cols_arg && cols_arg >= 2 && shards_arg >= 1 && requests_arg >= 1,
                 "need rows >= cols >= 2, shards >= 1, requests >= 1");
+  gate::require(lane_width_arg == 4 || lane_width_arg == 8 || lane_width_arg == 16,
+                "--lane-width must be 4, 8 or 16");
+  gate::require(queue_cap_arg >= 1, "--queue-cap must be >= 1");
+  gate::require(verify_arg >= 0, "--verify must be >= 0");
+  const auto rows = static_cast<std::size_t>(rows_arg);
+  const auto cols = static_cast<std::size_t>(cols_arg);
+  const auto shards = static_cast<std::size_t>(shards_arg);
+  const auto lane_width = static_cast<std::size_t>(lane_width_arg);
+  const auto queue_cap = static_cast<std::size_t>(queue_cap_arg);
+  const auto requests = static_cast<std::size_t>(requests_arg);
+  const auto seed = static_cast<std::uint64_t>(args.integer("seed"));
+  const auto verify = static_cast<std::size_t>(verify_arg);
   const std::string oname = args.ordering("ordering");
   const OrderingPtr ordering = make_ordering(oname);
 

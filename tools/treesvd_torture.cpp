@@ -31,7 +31,6 @@
 #include "svd/block_jacobi.hpp"
 #include "svd/jacobi.hpp"
 #include "svd/kogbetliantz.hpp"
-#include "svd/preconditioned.hpp"
 #include "svd/spmd.hpp"
 
 namespace treesvd::torture {
@@ -110,7 +109,9 @@ const std::vector<Engine>& engines() {
        }},
       {"preconditioned", false, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
-         return from_svd(qr_preconditioned_jacobi(a, ord, jacobi_options(mode, sweeps)));
+         JacobiOptions opt = jacobi_options(mode, sweeps);
+         opt.precondition = PreconditionMode::kAlways;
+         return from_svd(one_sided_jacobi(a, ord, opt));
        }},
       {"spmd", false, 1,
        [](const Matrix& a, const Ordering& ord, EquilibrateMode mode, int sweeps) {
